@@ -28,11 +28,9 @@ from .errors import (
 )
 from .linalg import (
     BlockPartition,
-    SchurChain,
     SpdMatrix,
     cholesky,
     leading_logdets,
-    schur_chain,
     schur_complement,
 )
 from .specfun import log_multigamma, log_multigamma_ratio
@@ -48,6 +46,7 @@ from .moments import (
     ExactMoment,
     MomentFactor,
     MomentQuery,
+    block_moments_log,
     disjoint_moment_block_diag_log,
     embedded_moment_log,
     single_minor_moment_log,
@@ -62,7 +61,6 @@ from .montecarlo import (
     estimate_log_statistic,
 )
 from .gpi import (
-    GaussianGpiInstance,
     GpiResult,
     SearchConfig,
     SearchReport,
@@ -86,11 +84,9 @@ __all__ = [
     "DegenerateEstimate",
     "BlockPartition",
     "SpdMatrix",
-    "SchurChain",
     "cholesky",
     "leading_logdets",
     "schur_complement",
-    "schur_chain",
     "log_multigamma",
     "log_multigamma_ratio",
     "Regime",
@@ -104,6 +100,7 @@ __all__ = [
     "ExactMoment",
     "single_minor_moment_log",
     "embedded_moment_log",
+    "block_moments_log",
     "disjoint_moment_block_diag_log",
     "McEstimate",
     "Verdict",
@@ -113,7 +110,6 @@ __all__ = [
     "estimate_disjoint",
     "compare",
     "WishartGpiInstance",
-    "GaussianGpiInstance",
     "GpiResult",
     "SearchConfig",
     "TrialRecord",

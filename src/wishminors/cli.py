@@ -27,6 +27,7 @@ from .gpi import SearchConfig, search
 from .linalg import BlockPartition, SpdMatrix
 from .moments import (
     MomentQuery,
+    block_moments_log,
     disjoint_moment_block_diag_log,
     embedded_moment_log,
 )
@@ -37,10 +38,8 @@ from .montecarlo import (
     estimate_embedded,
     exp_or_inf,
 )
-from .specfun import log_multigamma_ratio
+from .specfun import log_multigamma_ratio  # noqa: F401 - bench/spans.py wraps it
 from .wishart import WishartParams, sample_bartlett, sample_gaussian_sum
-
-_LOG_2 = math.log(2.0)
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -211,23 +210,6 @@ def _base_config(args, command: str) -> dict:
     }
 
 
-def _blockdiag_factors(alpha: float, sigma: SpdMatrix, query: MomentQuery) -> list[dict]:
-    factors = []
-    part = query.partition
-    for k in range(part.blocks):
-        a, b = part.prefix[k], part.prefix[k + 1]
-        block = SpdMatrix.from_array(sigma.entries[a:b, a:b])
-        size = b - a
-        factors.append(
-            {
-                "block": k + 1,
-                "det_term": query.nu[k] * (size * _LOG_2 + block.logdet),
-                "gamma_term": log_multigamma_ratio(size, alpha / 2.0, query.nu[k]),
-            }
-        )
-    return factors
-
-
 def cmd_exact(args) -> int:
     sigma, query = _moment_inputs(args)
     config = _base_config(args, "exact")
@@ -241,21 +223,20 @@ def cmd_exact(args) -> int:
         }
     )
     if args.disjoint_blockdiag:
-        log_value = disjoint_moment_block_diag_log(args.alpha, sigma, query)
-        factors = _blockdiag_factors(args.alpha, sigma, query)
+        # Refuses a scale with off-block coupling before the factors are taken.
+        disjoint_moment_block_diag_log(args.alpha, sigma, query)
+        exact = block_moments_log(args.alpha, sigma, query)
     else:
         exact = embedded_moment_log(args.alpha, sigma, query)
-        log_value = exact.log_value
-        factors = [
-            {"block": f.block, "det_term": f.det_term, "gamma_term": f.gamma_term}
-            for f in exact.factors
-        ]
     record = {
         "tool": _tool_record(),
         "config": config,
-        "log_value": log_value,
-        "value_or_inf": finite_or_inf_str(exp_or_inf(log_value)),
-        "factors": factors,
+        "log_value": exact.log_value,
+        "value_or_inf": finite_or_inf_str(exp_or_inf(exact.log_value)),
+        "factors": [
+            {"block": f.block, "det_term": f.det_term, "gamma_term": f.gamma_term}
+            for f in exact.factors
+        ],
     }
     _emit(record, args.format, args.out)
     return EXIT_OK

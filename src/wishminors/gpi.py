@@ -3,10 +3,11 @@
 The conjecture under study: for X ~ Wishart(alpha, sigma) and disjoint
 diagonal blocks, E[prod det(X_ii)^nu_i] >= prod E[det(X_ii)^nu_i]; its
 scalar Gaussian form replaces det(X_ii) by Z_i^2 for a centered Gaussian
-vector Z.  Numerators are Monte Carlo, denominators are always exact
-(per-block moment formula, or the scalar Gaussian moment), and a trial
-is only ever flagged, never declared a counterexample: suspicious trials
-are re-run once at 10x the sample size on a fresh substream.
+vector Z ~ N(0, R), which is the alpha = 1, unit-block Wishart with
+scale R.  Numerators are Monte Carlo, denominators are always exact (the
+per-block moment formula), and a trial is only ever flagged, never
+declared a counterexample: suspicious trials are re-run once at 10x the
+sample size on a fresh substream.
 """
 from __future__ import annotations
 
@@ -19,21 +20,22 @@ from scipy.special import gammaln
 
 from .errors import DimensionMismatch, DomainError, NotPositiveDefinite
 from .linalg import BlockPartition, SpdMatrix, cholesky
-from .moments import MomentQuery, single_minor_moment_log
+from .moments import MomentQuery, block_moments_log
+from .moments import single_minor_moment_log  # noqa: F401 - bench/spans.py wraps it
 from .montecarlo import (
     McEstimate,
     Verdict,
+    check_disjoint_shape,
     compare,
     estimate_disjoint,
-    estimate_log_statistic,
     exp_or_inf,
 )
+from .montecarlo import estimate_log_statistic  # noqa: F401 - bench/spans.py wraps it
 from .streams import map_ordered
-from .wishart import Regime, WishartParams
+from .wishart import WishartParams
 
 __all__ = [
     "WishartGpiInstance",
-    "GaussianGpiInstance",
     "GpiResult",
     "SearchConfig",
     "TrialRecord",
@@ -51,42 +53,20 @@ _ESCALATION_FACTOR = 10
 
 @dataclass(frozen=True, eq=False)
 class WishartGpiInstance:
-    """Disjoint-minor instance: nonsingular Wishart, unit-or-larger blocks."""
+    """Disjoint-minor instance; ``check_disjoint_shape`` admits its shape and blocks.
+
+    The scalar Gaussian instance Z ~ N(0, R) is alpha = 1, scale R, unit blocks.
+    """
 
     params: WishartParams
     partition: BlockPartition
     nu: tuple[float, ...]
-    label: str = ""
 
     def __post_init__(self) -> None:
-        if self.params.regime is not Regime.NONSINGULAR:
-            raise DomainError(
-                f"conjecture instances need alpha > dim-1, got alpha={self.params.alpha}"
-            )
         object.__setattr__(self, "nu", tuple(float(v) for v in self.nu))
         # Reuse the query validation (lengths, nonnegativity).
         MomentQuery(partition=self.partition, nu=self.nu)
-        if self.partition.total != self.params.dim:
-            raise DimensionMismatch("partition does not cover the scale matrix")
-
-
-@dataclass(frozen=True, eq=False)
-class GaussianGpiInstance:
-    """Scalar instance: Z ~ N(0, R) with unit-diagonal SPD correlation R."""
-
-    corr: SpdMatrix
-    nu: tuple[float, ...]
-    label: str = ""
-
-    def __post_init__(self) -> None:
-        if not np.all(np.diag(self.corr.entries) == 1.0):
-            raise DomainError("correlation matrix must have exactly unit diagonal")
-        nu = tuple(float(v) for v in self.nu)
-        if len(nu) != self.corr.dim:
-            raise DimensionMismatch(f"{len(nu)} exponents for dimension {self.corr.dim}")
-        if any(not math.isfinite(v) or v < 0 for v in nu):
-            raise DomainError(f"exponents must be finite and >= 0, got {nu}")
-        object.__setattr__(self, "nu", nu)
+        check_disjoint_shape(self.params, self.partition)
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +78,7 @@ class GpiResult:
     direction.  ``first_pass_z`` is set when the trial was escalated.
     """
 
-    instance: object
+    instance: WishartGpiInstance
     numerator: McEstimate
     denominator_log: float
     ratio_log: float
@@ -124,7 +104,8 @@ def gaussian_moment_log(nu: float, variance: float = 1.0) -> float:
 
     Equals nu*log(2*variance) + lgamma(nu + 1/2) - lgamma(1/2): the
     one-dimensional, one-degree-of-freedom case of the minor moment
-    formula applied to Z^2.
+    formula applied to Z^2.  Written independently of that formula, so
+    tests can check the alpha = 1 unit-block denominator against it.
     """
     nu = float(nu)
     if not math.isfinite(nu) or nu < 0:
@@ -134,39 +115,16 @@ def gaussian_moment_log(nu: float, variance: float = 1.0) -> float:
     return nu * math.log(2.0 * variance) + float(gammaln(nu + 0.5) - gammaln(0.5))
 
 
-def _gaussian_stat_factory(instance: GaussianGpiInstance):
-    chol_t = instance.corr.chol.T
-    nu_vec = np.asarray(instance.nu, dtype=float)
-    d = instance.corr.dim
-
-    def stat(rng: np.random.Generator, m: int) -> np.ndarray:
-        z = rng.standard_normal((m, d)) @ chol_t
-        return np.log(z * z) @ nu_vec
-
-    return stat
-
-
 def gpi_ratio(instance, n: int, seed: int, workers: int = 1) -> GpiResult:
     """Estimate the product-moment ratio for one instance.
 
-    The numerator is Monte Carlo; the denominator is exact per block
-    (never estimated), so the ratio's standard error is entirely the
-    numerator's.
+    The numerator is Monte Carlo; the denominator is the exact product of
+    per-block marginal moments (never estimated), so the ratio's standard
+    error is entirely the numerator's.
     """
-    if isinstance(instance, WishartGpiInstance):
-        part = instance.partition
-        den = 0.0
-        for k in range(part.blocks):
-            a, b = part.prefix[k], part.prefix[k + 1]
-            block = SpdMatrix.from_array(instance.params.sigma.entries[a:b, a:b])
-            den += single_minor_moment_log(instance.params.alpha, block, instance.nu[k])
-        query = MomentQuery(partition=part, nu=instance.nu)
-        num = estimate_disjoint(instance.params, query, n, seed, workers)
-    elif isinstance(instance, GaussianGpiInstance):
-        den = sum(gaussian_moment_log(v, 1.0) for v in instance.nu)
-        num = estimate_log_statistic(_gaussian_stat_factory(instance), n, seed, workers)
-    else:
-        raise DomainError(f"unknown instance type {type(instance).__name__}")
+    query = MomentQuery(partition=instance.partition, nu=instance.nu)
+    den = block_moments_log(instance.params.alpha, instance.params.sigma, query).log_value
+    num = estimate_disjoint(instance.params, query, n, seed, workers)
     report = compare(den, num)
     ratio_log = num.mean_log - den
     return GpiResult(
@@ -258,32 +216,29 @@ class SearchConfig:
 @dataclass(frozen=True, eq=False)
 class TrialRecord:
     index: int
+    kind: str  # SearchConfig.kind
     estimate_seed: int
     escalation_seed: int
     result: GpiResult
 
     def to_record(self) -> dict:
-        """Flat JSON-able dict with everything needed to re-run the trial."""
-        inst = self.result.instance
-        if isinstance(inst, WishartGpiInstance):
-            desc = {
-                "kind": "wishart",
-                "dim": inst.params.dim,
-                "alpha": float(inst.params.alpha),
-                "sigma": [[float(v) for v in row] for row in inst.params.sigma.entries],
-                "nu": [float(v) for v in inst.nu],
-            }
-        else:
-            desc = {
-                "kind": "gaussian",
-                "dim": inst.corr.dim,
-                "corr": [[float(v) for v in row] for row in inst.corr.entries],
-                "nu": [float(v) for v in inst.nu],
-            }
+        """Flat JSON-able dict with everything needed to re-run the trial.
+
+        A gaussian line names its scale ``corr`` and omits the shape, always 1.
+        """
         res = self.result
+        params = res.instance.params
+        scale = [[float(v) for v in row] for row in params.sigma.entries]
+        if self.kind == "gaussian":
+            shape = {"corr": scale}
+        else:
+            shape = {"alpha": float(params.alpha), "sigma": scale}
         return {
             "trial": self.index,
-            **desc,
+            "kind": self.kind,
+            "dim": params.dim,
+            **shape,
+            "nu": [float(v) for v in res.instance.nu],
             "samples": res.numerator.n,
             "estimate_seed": self.estimate_seed,
             "escalation_seed": self.escalation_seed,
@@ -315,12 +270,13 @@ def _draw_instance(config: SearchConfig, rng: np.random.Generator, index: int):
         corr = random_correlation(d, rng)
     nu = tuple(float(v) for v in rng.choice(np.asarray(config.nu_grid), size=d))
     if config.kind == "gaussian":
-        return GaussianGpiInstance(corr=SpdMatrix.from_array(corr), nu=nu)
-    alo, ahi = config.alpha_range
-    low = max(alo, float(d - 1))
-    alpha = float(rng.uniform(low, ahi))
-    while alpha <= d - 1:  # pragma: no cover - measure-zero endpoint redraw
+        alpha = 1.0
+    else:
+        alo, ahi = config.alpha_range
+        low = max(alo, float(d - 1))
         alpha = float(rng.uniform(low, ahi))
+        while alpha <= d - 1:  # pragma: no cover - measure-zero endpoint redraw
+            alpha = float(rng.uniform(low, ahi))
     params = WishartParams(alpha=alpha, sigma=SpdMatrix.from_array(corr))
     return WishartGpiInstance(
         params=params, partition=BlockPartition((1,) * d), nu=nu
@@ -355,6 +311,7 @@ def search(config: SearchConfig) -> SearchReport:
             )
         return TrialRecord(
             index=index,
+            kind=config.kind,
             estimate_seed=est_seed,
             escalation_seed=esc_seed,
             result=result,

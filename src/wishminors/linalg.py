@@ -1,7 +1,7 @@
 """Dense symmetric positive definite kernels.
 
 Everything downstream works with log-determinants of leading principal
-blocks and with iterated Schur complements, so this module centralises
+blocks and with Schur complements, so this module centralises
 the factorisation logic: one Cholesky per matrix, reused for
 determinants, block eliminations, and quadratic forms.
 """
@@ -17,11 +17,9 @@ from .errors import DimensionMismatch, NotPositiveDefinite
 __all__ = [
     "BlockPartition",
     "SpdMatrix",
-    "SchurChain",
     "cholesky",
     "leading_logdets",
     "schur_complement",
-    "schur_chain",
 ]
 
 # Relative Frobenius tolerance for the L @ L.T reconstruction check on
@@ -140,6 +138,11 @@ class BlockPartition:
     def total(self) -> int:
         return self.prefix[-1]
 
+    def check_covers(self, dim: int) -> None:
+        """Raise DimensionMismatch unless the blocks cover exactly ``dim`` rows."""
+        if self.total != dim:
+            raise DimensionMismatch(f"partition covers {self.total} rows, matrix has {dim}")
+
 
 def leading_logdets(m: SpdMatrix, partition: BlockPartition) -> np.ndarray:
     """log-determinants of the leading P_1, P_2, ..., P_d principal blocks.
@@ -148,10 +151,7 @@ def leading_logdets(m: SpdMatrix, partition: BlockPartition) -> np.ndarray:
     block of ``m``'s factor, each value is a prefix sum of
     ``2 * log(diag(L))``; no refactorisation happens.
     """
-    if partition.total != m.dim:
-        raise DimensionMismatch(
-            f"partition covers {partition.total} rows, matrix has {m.dim}"
-        )
+    partition.check_covers(m.dim)
     csum = np.concatenate(([0.0], np.cumsum(2.0 * np.log(np.diag(m.chol)))))
     return csum[list(partition.prefix[1:])]
 
@@ -177,35 +177,3 @@ def schur_complement(m, k: int) -> np.ndarray:
     w = solve_triangular(low, a[:k, k:], lower=True)
     s = a[k:, k:] - w.T @ w
     return 0.5 * (s + s.T)
-
-
-@dataclass(frozen=True, eq=False)
-class SchurChain:
-    """The iterated Schur complements of a matrix along a partition.
-
-    ``stages[k]`` is the matrix after eliminating the first ``k`` blocks
-    (stage 0 is the original), so ``stages[k]`` has side P_d - P_k.  Each
-    stage is symmetric positive definite and read-only.
-    """
-
-    partition: BlockPartition
-    stages: tuple[np.ndarray, ...]
-
-    def head_block(self, k: int) -> np.ndarray:
-        """Top-left ``p_{k+1} x p_{k+1}`` block of stage ``k`` (0-based)."""
-        size = self.partition.sizes[k]
-        return self.stages[k][:size, :size]
-
-
-def schur_chain(m: SpdMatrix, partition: BlockPartition) -> SchurChain:
-    """Eliminate the partition's blocks in order, collecting every stage."""
-    if partition.total != m.dim:
-        raise DimensionMismatch(
-            f"partition covers {partition.total} rows, matrix has {m.dim}"
-        )
-    stages = [np.array(m.entries)]
-    for size in partition.sizes[:-1]:
-        stages.append(schur_complement(stages[-1], size))
-    for s in stages:
-        s.setflags(write=False)
-    return SchurChain(partition=partition, stages=tuple(stages))

@@ -32,6 +32,7 @@ __all__ = [
     "ExactMoment",
     "single_minor_moment_log",
     "embedded_moment_log",
+    "block_moments_log",
     "disjoint_moment_block_diag_log",
 ]
 
@@ -111,10 +112,7 @@ def embedded_moment_log(alpha: float, sigma: SpdMatrix, query: MomentQuery) -> E
     every gamma base above its pole since V_i >= 0.
     """
     part = query.partition
-    if part.total != sigma.dim:
-        raise DimensionMismatch(
-            f"partition covers {part.total} rows, scale has {sigma.dim}"
-        )
+    part.check_covers(sigma.dim)
     alpha = float(alpha)
     p = sigma.dim
     if not alpha > p - 1:
@@ -141,6 +139,27 @@ def _worst_off_block_entry(entries: np.ndarray, part: BlockPartition):
     return float(off[idx]), (int(idx[0]), int(idx[1]))
 
 
+def block_moments_log(alpha: float, sigma: SpdMatrix, query: MomentQuery) -> ExactMoment:
+    """Product of the per-block marginal moments E[det(X_kk)^nu_k], in log space.
+
+    X_kk ~ Wishart(alpha, sigma_kk) for any sigma, so block k contributes
+    ``nu_k * (p_k log 2 + log det sigma_kk)`` and the order-p_k gamma ratio
+    at base alpha/2 with shift nu_k; it needs only alpha > p_k - 1.  The
+    product is the joint moment when sigma is block diagonal.
+    """
+    part = query.partition
+    part.check_covers(sigma.dim)
+    factors = []
+    for k, (size, nu_k) in enumerate(zip(part.sizes, query.nu)):
+        a, b = part.prefix[k], part.prefix[k + 1]
+        block = SpdMatrix.from_array(sigma.entries[a:b, a:b])
+        det_term = nu_k * (size * _LOG_2 + block.logdet)
+        gamma_term = log_multigamma_ratio(size, alpha / 2.0, nu_k)
+        factors.append(MomentFactor(block=k + 1, det_term=det_term, gamma_term=gamma_term))
+    total = sum(f.det_term + f.gamma_term for f in factors)
+    return ExactMoment(log_value=total, factors=tuple(factors))
+
+
 def disjoint_moment_block_diag_log(
     alpha: float, sigma: SpdMatrix, query: MomentQuery
 ) -> float:
@@ -148,9 +167,9 @@ def disjoint_moment_block_diag_log(
 
     When sigma is block diagonal along the partition the diagonal blocks
     of X are independent Wishart(alpha, sigma_ii) matrices, so the joint
-    moment is the sum of the per-block single-minor log moments, each with
-    the *full* shape alpha.  A scale with off-block coupling makes this an
-    open problem, and the function refuses rather than approximate.
+    moment is ``block_moments_log``, each block with the *full* shape
+    alpha.  A scale with off-block coupling makes this an open problem,
+    and the function refuses rather than approximate.
 
     Raises
     ------
@@ -159,10 +178,7 @@ def disjoint_moment_block_diag_log(
         entry; the message pinpoints the worst offender.
     """
     part = query.partition
-    if part.total != sigma.dim:
-        raise DimensionMismatch(
-            f"partition covers {part.total} rows, scale has {sigma.dim}"
-        )
+    part.check_covers(sigma.dim)
     alpha = float(alpha)
     if not alpha > sigma.dim - 1:
         raise DomainError(
@@ -174,9 +190,4 @@ def disjoint_moment_block_diag_log(
         raise NotBlockDiagonal(
             f"off-block entry sigma[{r}, {c}] = {worst:.6e} exceeds tolerance {tol:.6e}"
         )
-    total = 0.0
-    for k in range(part.blocks):
-        a, b = part.prefix[k], part.prefix[k + 1]
-        block = SpdMatrix.from_array(sigma.entries[a:b, a:b])
-        total += single_minor_moment_log(alpha, block, query.nu[k])
-    return total
+    return block_moments_log(alpha, sigma, query).log_value

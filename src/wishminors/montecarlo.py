@@ -20,6 +20,7 @@ from .errors import (
     DomainError,
     SingularRegime,
 )
+from .linalg import BlockPartition
 from .moments import MomentQuery
 from .streams import chunk_sizes, map_ordered, substreams
 from .wishart import Regime, WishartParams, _bartlett_dofs, _bartlett_factors
@@ -31,6 +32,7 @@ __all__ = [
     "ComparisonReport",
     "estimate_log_statistic",
     "estimate_embedded",
+    "check_disjoint_shape",
     "estimate_disjoint",
     "compare",
     "exp_or_inf",
@@ -200,10 +202,7 @@ def estimate_embedded(
         raise SingularRegime(
             f"embedded-minor estimation needs alpha > dim-1, got alpha={params.alpha}"
         )
-    if query.partition.total != params.dim:
-        raise DimensionMismatch(
-            f"partition covers {query.partition.total} rows, scale has {params.dim}"
-        )
+    query.partition.check_covers(params.dim)
     return estimate_log_statistic(_embedded_stat_factory(params, query), n, seed, workers)
 
 
@@ -245,12 +244,28 @@ def _disjoint_stat_gaussian_sum(params: WishartParams, query: MomentQuery):
     nu_vec = np.asarray(query.nu, dtype=float)
 
     def stat(rng: np.random.Generator, m: int) -> np.ndarray:
-        g = rng.standard_normal((m, n_terms, p))
-        z = g @ scale_chol_t
+        # One flat GEMM; a batched (m, n_terms, p) product is ~2x slower at n_terms=1.
+        g = rng.standard_normal((m * n_terms, p))
+        z = (g @ scale_chol_t).reshape(m, n_terms, p)
         diag = np.einsum("mnp,mnp->mp", z, z)
         return np.log(diag) @ nu_vec
 
     return stat
+
+
+def check_disjoint_shape(params: WishartParams, partition: BlockPartition) -> None:
+    """Raise unless ``partition`` covers the scale and its disjoint minors are estimable.
+
+    Singular integer shapes admit only size-1 blocks: a rank-deficient
+    draw still has chi-square-like diagonal entries, but any larger block
+    has an almost-surely-zero minor.
+    """
+    partition.check_covers(params.dim)
+    if params.regime is not Regime.NONSINGULAR and any(s != 1 for s in partition.sizes):
+        raise SingularRegime(
+            f"alpha={params.alpha} supports only size-1 blocks, "
+            f"got sizes {partition.sizes}"
+        )
 
 
 def estimate_disjoint(
@@ -259,24 +274,15 @@ def estimate_disjoint(
     """Estimate the joint moment of disjoint diagonal-block minors.
 
     Nonsingular shapes sample via triangular factors and factor each
-    diagonal block per draw.  Singular integer shapes are supported only
-    when every block has size 1 (diagonal entries of a rank-deficient
-    draw are still valid chi-square-like scalars); anything larger has
-    almost-surely-zero minors and is refused.
+    diagonal block per draw; singular integer shapes, which
+    ``check_disjoint_shape`` admits on unit blocks only, sample sums of
+    Gaussian outer products.
     """
-    if query.partition.total != params.dim:
-        raise DimensionMismatch(
-            f"partition covers {query.partition.total} rows, scale has {params.dim}"
-        )
+    check_disjoint_shape(params, query.partition)
     if params.regime is Regime.NONSINGULAR:
         stat = _disjoint_stat_bartlett(params, query)
-    elif all(s == 1 for s in query.partition.sizes):
-        stat = _disjoint_stat_gaussian_sum(params, query)
     else:
-        raise SingularRegime(
-            f"alpha={params.alpha} supports only size-1 blocks, "
-            f"got sizes {query.partition.sizes}"
-        )
+        stat = _disjoint_stat_gaussian_sum(params, query)
     return estimate_log_statistic(stat, n, seed, workers)
 
 

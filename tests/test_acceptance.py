@@ -19,11 +19,11 @@ from scipy.special import gammaln
 
 from wishminors import (
     BlockPartition,
-    GaussianGpiInstance,
     MomentQuery,
     SearchConfig,
     SpdMatrix,
     Verdict,
+    WishartGpiInstance,
     WishartParams,
     compare,
     disjoint_moment_block_diag_log,
@@ -260,8 +260,11 @@ def test_c08_product_inequality_tooling():
     500-trial search over unit-block Wishart instances finishes inside its
     budget with zero inconsistent verdicts after escalation."""
     for i, rho in enumerate((0.0, 0.25, 0.5, 0.75, 0.9)):
-        inst = GaussianGpiInstance(
-            corr=spd([[1.0, rho], [rho, 1.0]]), nu=(1.0, 1.0)
+        # Z ~ N(0, R) is the alpha = 1, unit-block Wishart with scale R.
+        inst = WishartGpiInstance(
+            params=WishartParams(alpha=1.0, sigma=spd([[1.0, rho], [rho, 1.0]])),
+            partition=BlockPartition((1, 1)),
+            nu=(1.0, 1.0),
         )
         res = gpi_ratio(inst, N_BLOCK, seed=800 + i)
         want = 1.0 + 2.0 * rho * rho

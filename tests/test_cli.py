@@ -87,6 +87,9 @@ class TestExact:
         # product of diagonal means: (3 * 1) * (3 * 2)
         assert rec["value_or_inf"] == pytest.approx(18.0, rel=1e-12)
         assert rec["config"]["disjoint_blockdiag"] is True
+        assert [f["block"] for f in rec["factors"]] == [1, 2]
+        total = sum(f["det_term"] + f["gamma_term"] for f in rec["factors"])
+        assert total == rec["log_value"]
 
     def test_singular_alpha_exits_domain(self, tmp_path, capsys):
         path = sigma_file(tmp_path, np.eye(2))
@@ -294,6 +297,12 @@ class TestGpi:
         assert zs == sorted(zs)
         for row in rows:
             assert row["kind"] == "gaussian" and row["verdict"] == "consistent"
+            assert list(row) == [
+                "trial", "kind", "dim", "corr", "nu", "samples", "estimate_seed",
+                "escalation_seed", "ratio", "ratio_stderr", "ratio_log",
+                "denominator_log", "violation_z", "verdict", "escalated",
+                "first_pass_z", "flags",
+            ]
 
     def test_wishart_search_stdout(self, capsys):
         code, out, err = run(

@@ -7,8 +7,8 @@ import pytest
 from wishminors import (
     BlockPartition,
     DomainError,
-    GaussianGpiInstance,
     SearchConfig,
+    SingularRegime,
     SpdMatrix,
     Verdict,
     WishartGpiInstance,
@@ -32,7 +32,12 @@ def wishart_instance(alpha, sigma, nu):
 
 
 def corr2(rho):
-    return SpdMatrix.from_array(np.array([[1.0, rho], [rho, 1.0]]))
+    return np.array([[1.0, rho], [rho, 1.0]])
+
+
+def gaussian_instance(corr, nu):
+    # Z ~ N(0, R) is the alpha = 1, unit-block Wishart with scale R.
+    return wishart_instance(1.0, corr, nu)
 
 
 class TestGaussianMoment:
@@ -56,18 +61,18 @@ class TestGaussianMoment:
 
 class TestInstances:
     def test_wishart_rejects_singular(self):
-        with pytest.raises(DomainError):
-            wishart_instance(1.0, np.eye(2), (1.0, 1.0))
-
-    def test_gaussian_rejects_non_unit_diagonal(self):
-        with pytest.raises(DomainError):
-            GaussianGpiInstance(
-                corr=SpdMatrix.from_array(np.diag([1.0, 2.0])), nu=(1.0, 1.0)
+        # A singular shape is admitted on unit blocks only: a size-2 block
+        # of a rank-1 draw has determinant zero almost surely.
+        with pytest.raises(SingularRegime):
+            WishartGpiInstance(
+                params=WishartParams(alpha=1.0, sigma=SpdMatrix.from_array(np.eye(3))),
+                partition=BlockPartition((1, 2)),
+                nu=(1.0, 1.0),
             )
 
     def test_gaussian_rejects_negative_exponent(self):
         with pytest.raises(DomainError):
-            GaussianGpiInstance(corr=corr2(0.3), nu=(1.0, -1.0))
+            gaussian_instance(corr2(0.3), (1.0, -1.0))
 
 
 class TestGpiRatio:
@@ -89,8 +94,17 @@ class TestGpiRatio:
         assert abs(res.ratio - 1.0) <= 4 * res.ratio_stderr
         assert res.verdict is Verdict.CONSISTENT
 
+    def test_gaussian_denominator_is_scalar_gaussian_moments(self):
+        rng = np.random.default_rng(11)
+        for dim in (1, 2, 3, 5):
+            nu = tuple(float(v) for v in rng.choice([0.0, 0.5, 1.0, 1.5, 3.0], size=dim))
+            inst = gaussian_instance(random_correlation(dim, rng), nu)
+            res = gpi_ratio(inst, 1_000, seed=dim)
+            want = sum(gaussian_moment_log(v) for v in nu)
+            assert res.denominator_log == pytest.approx(want, abs=1e-14)
+
     def test_gaussian_isserlis_oracle(self):
-        inst = GaussianGpiInstance(corr=corr2(0.5), nu=(1.0, 1.0))
+        inst = gaussian_instance(corr2(0.5), (1.0, 1.0))
         res = gpi_ratio(inst, 300_000, seed=43)
         assert abs(res.ratio - 1.5) <= 4 * res.ratio_stderr
 
@@ -109,7 +123,7 @@ class TestGpiRatio:
             assert abs(res.ratio - want) <= 4 * res.ratio_stderr
 
     def test_zero_exponents_give_unit_ratio(self):
-        inst = GaussianGpiInstance(corr=corr2(0.7), nu=(0.0, 0.0))
+        inst = gaussian_instance(corr2(0.7), (0.0, 0.0))
         res = gpi_ratio(inst, 1_000, seed=5)
         assert res.ratio == pytest.approx(1.0, abs=1e-12)
         assert res.violation_z == 0.0

@@ -11,6 +11,7 @@ from wishminors import (
     MomentQuery,
     NotBlockDiagonal,
     SpdMatrix,
+    block_moments_log,
     disjoint_moment_block_diag_log,
     embedded_moment_log,
     single_minor_moment_log,
@@ -188,3 +189,24 @@ class TestDisjointBlockDiag:
         q = MomentQuery(partition=BlockPartition((1, 1)), nu=(1.0, 1.0))
         with pytest.raises(DomainError):
             disjoint_moment_block_diag_log(1.0, spd(np.eye(2)), q)
+
+
+class TestBlockMoments:
+    def test_marginal_product_for_any_scale(self, rng):
+        # Off-block coupling is allowed: each factor is one block's marginal
+        # moment, and a singular shape is fine while alpha > p_k - 1.
+        sigma = random_spd(rng, 4, cond=20.0)
+        part = BlockPartition((1, 2, 1))
+        q = MomentQuery(partition=part, nu=(1.5, 0.5, 2.0))
+        for alpha in (2.0, 5.5):
+            got = block_moments_log(alpha, spd(sigma), q)
+            assert [f.block for f in got.factors] == [1, 2, 3]
+            for k, f in enumerate(got.factors):
+                a, b = part.prefix[k], part.prefix[k + 1]
+                want = single_minor_moment_log(alpha, spd(sigma[a:b, a:b]), q.nu[k])
+                assert f.det_term + f.gamma_term == pytest.approx(want, abs=1e-12)
+            assert got.log_value == sum(f.det_term + f.gamma_term for f in got.factors)
+        with pytest.raises(DomainError):
+            block_moments_log(1.0, spd(sigma), q)
+        with pytest.raises(DimensionMismatch):
+            block_moments_log(5.5, spd(sigma[:3, :3]), q)
