@@ -28,6 +28,7 @@ from .linalg import BlockPartition, SpdMatrix
 from .moments import (
     MomentQuery,
     block_moments_log,
+    check_block_diagonal,
     disjoint_moment_block_diag_log,
     embedded_moment_log,
 )
@@ -145,7 +146,7 @@ def _tool_record() -> dict:
 
 def _emit(record: dict, fmt: str, out: str | None) -> None:
     if fmt == "json":
-        text = json.dumps(record, indent=2) + "\n"
+        text = json.dumps(record, indent=2, allow_nan=False) + "\n"
     elif fmt in ("csv", "table"):
         rows = _flatten(record)
         if fmt == "csv":
@@ -261,15 +262,17 @@ def cmd_verify(args) -> int:
         exact_log = embedded_moment_log(args.alpha, sigma, query).log_value
         mc = estimate_embedded(params, query, args.samples, args.seed, args.workers)
     else:
+        mc = estimate_disjoint(params, query, args.samples, args.seed, args.workers)
         try:
-            exact_log = disjoint_moment_block_diag_log(args.alpha, sigma, query)
+            check_block_diagonal(sigma, query.partition)
         except NotBlockDiagonal as exc:
             exact_log = None
             note = (
                 "no exact value: scale is not block diagonal along the partition "
                 f"({exc}); reporting Monte Carlo only"
             )
-        mc = estimate_disjoint(params, query, args.samples, args.seed, args.workers)
+        else:
+            exact_log = block_moments_log(args.alpha, sigma, query).log_value
     if exact_log is None:
         z = None
         verdict = None
@@ -380,8 +383,8 @@ def cmd_gpi(args) -> int:
             "out": args.out,
         },
     }
-    lines = [json.dumps(header)]
-    lines.extend(json.dumps(rec.to_record()) for rec in report.trials)
+    lines = [json.dumps(header, allow_nan=False)]
+    lines.extend(json.dumps(rec.to_record(), allow_nan=False) for rec in report.trials)
     _write_text("".join(line + "\n" for line in lines), args.out)
     _print_gpi_summary(report)
     return EXIT_OK

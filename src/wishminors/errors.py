@@ -30,4 +30,8 @@ class NotBlockDiagonal(WishminorsError):
 
 
 class DegenerateEstimate(WishminorsError):
-    """A zero-spread Monte Carlo estimate disagrees with the exact value."""
+    """A Monte Carlo estimate that cannot be scored honestly.
+
+    Raised when a draw of the log statistic is NaN or +inf, when every draw
+    is -inf, or when a zero-spread estimate disagrees with the exact value.
+    """

@@ -33,6 +33,7 @@ __all__ = [
     "single_minor_moment_log",
     "embedded_moment_log",
     "block_moments_log",
+    "check_block_diagonal",
     "disjoint_moment_block_diag_log",
 ]
 
@@ -184,10 +185,20 @@ def disjoint_moment_block_diag_log(
         raise DomainError(
             f"need alpha > dim - 1 = {sigma.dim - 1}, got alpha={alpha}"
         )
+    check_block_diagonal(sigma, part)
+    return block_moments_log(alpha, sigma, query).log_value
+
+
+def check_block_diagonal(sigma: SpdMatrix, part: BlockPartition) -> None:
+    """Raise NotBlockDiagonal unless sigma is block diagonal along ``part``.
+
+    An off-block entry counts as coupling when it exceeds 1e-12 times the
+    largest diagonal entry; the message pinpoints the worst offender.
+    """
+    part.check_covers(sigma.dim)
     worst, (r, c) = _worst_off_block_entry(sigma.entries, part)
     tol = _BLOCK_DIAG_TOL * float(np.max(np.diag(sigma.entries)))
     if worst > tol:
         raise NotBlockDiagonal(
             f"off-block entry sigma[{r}, {c}] = {worst:.6e} exceeds tolerance {tol:.6e}"
         )
-    return block_moments_log(alpha, sigma, query).log_value

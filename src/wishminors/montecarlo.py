@@ -134,7 +134,11 @@ def estimate_log_statistic(stat_fn, n: int, seed: int, workers: int = 1) -> McEs
         s = np.asarray(stat_fn(rng, m), dtype=float)
         if s.shape != (m,):
             raise DimensionMismatch(f"statistic returned shape {s.shape}, wanted ({m},)")
-        top = float(np.max(s))
+        top = float(np.max(s))  # NaN if any draw is NaN
+        if not top < math.inf:
+            raise DegenerateEstimate(f"statistic drew a non-finite value {top}")
+        if top == -math.inf:
+            return -math.inf, top, top
         lse = top + math.log(float(np.sum(np.exp(s - top))))
         return lse, top, float(np.min(s))
 
@@ -144,6 +148,8 @@ def estimate_log_statistic(stat_fn, n: int, seed: int, workers: int = 1) -> McEs
     )
     max_log = max(top for _, top, _ in reduced)
     min_log = min(low for _, _, low in reduced)
+    if max_log == -math.inf:
+        raise DegenerateEstimate(f"all {n} draws of the log statistic are -inf")
 
     shift = float(np.max(chunk_log_means))
     scaled = np.exp(chunk_log_means - shift)
@@ -179,12 +185,17 @@ def _embedded_stat_factory(params: WishartParams, query: MomentQuery):
     # from block k on: its weight is the suffix sum V_{k+1} (0-based k).
     weights = np.repeat(query.suffix, query.partition.sizes)
     base = float(np.dot(weights, 2.0 * np.log(np.diag(scale_chol))))
-    n_normals = p * (p - 1) // 2
+    # Gamma shapes below 1 (dof < 2) underflow to 0 near alpha = p - 1, so
+    # those columns use the boost log G(a) = log G(a + 1) + log(U) / a
+    # (Marsaglia & Tsang 2000): log chi2(k) = log chi2(k + 2) + 2 log(U) / k.
+    small = np.flatnonzero(dofs < 2.0)
+    draw_dofs = np.where(dofs < 2.0, dofs + 2.0, dofs)
+    boost = 2.0 / dofs[small]
 
     def stat(rng: np.random.Generator, m: int) -> np.ndarray:
-        chisq = rng.chisquare(dofs, size=(m, p))
-        rng.standard_normal((m, n_normals))  # same stream layout as the factor sampler
-        return np.log(chisq) @ weights + base
+        log_chisq = np.log(rng.chisquare(draw_dofs, size=(m, p)))
+        log_chisq[:, small] += np.log(rng.random((m, small.size))) * boost
+        return log_chisq @ weights + base
 
     return stat
 
@@ -196,7 +207,7 @@ def estimate_embedded(
 
     Uses the triangular-factor representation: the leading minor at P_i
     is the product of the first P_i squared diagonal entries of T = L A,
-    so each sample costs O(p) given the Bartlett chi-squares.
+    so a draw needs only the p Bartlett chi-squares, taken in log space.
     """
     if params.regime is not Regime.NONSINGULAR:
         raise SingularRegime(
@@ -228,10 +239,16 @@ def _disjoint_stat_bartlett(params: WishartParams, query: MomentQuery):
                 rows = t[:, a:b, :b]
                 block = np.matmul(rows, rows.transpose(0, 2, 1))
                 block = 0.5 * (block + block.transpose(0, 2, 1))
-                low = np.linalg.cholesky(block)
-                s += nu_k * 2.0 * np.sum(
-                    np.log(np.diagonal(low, axis1=1, axis2=2)), axis=1
-                )
+                try:
+                    low = np.linalg.cholesky(block)
+                except np.linalg.LinAlgError:
+                    # A chi-square that underflowed to 0 left some block singular.
+                    sign, logdet = np.linalg.slogdet(block)
+                    s += nu_k * np.where(sign > 0, logdet, -np.inf)
+                else:
+                    s += nu_k * 2.0 * np.sum(
+                        np.log(np.diagonal(low, axis1=1, axis2=2)), axis=1
+                    )
         return s
 
     return stat
@@ -298,7 +315,7 @@ def compare(exact_log: float, mc: McEstimate) -> ComparisonReport:
     exact_log = float(exact_log)
     if mc.stderr_log == -math.inf:
         rel_gap = abs(math.expm1(mc.mean_log - exact_log))
-        if rel_gap > _CONST_REL_TOL:
+        if not rel_gap <= _CONST_REL_TOL:
             raise DegenerateEstimate(
                 f"constant statistic at relative gap {rel_gap:.3e} from the exact value"
             )

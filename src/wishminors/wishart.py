@@ -133,7 +133,9 @@ def _bartlett_factors(rng: np.random.Generator, m: int, p: int, dofs, scale_chol
 
     The generator is consumed in a fixed order (all chi-square diagonals,
     then all subdiagonal normals) so every statistic built on this layout
-    sees identical variates for identical (seed, chunking).
+    sees identical variates for identical (seed, chunking).  The embedded
+    statistic shares only the chi-square prefix: it draws no normals, and
+    its chi-squares match these only when every degree of freedom is >= 2.
     """
     chisq = rng.chisquare(dofs, size=(m, p))
     normals = rng.standard_normal((m, p * (p - 1) // 2))

@@ -26,6 +26,13 @@ def run(capsys, *argv):
     return code, cap.out, cap.err
 
 
+def strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def sigma_file(tmp_path, matrix, name="sigma.csv"):
     path = tmp_path / name
     write_matrix_csv(np.asarray(matrix, dtype=float), str(path))
@@ -197,6 +204,76 @@ class TestVerify:
         # Wick: E(X11 X22) = alpha^2 + 2 alpha rho^2 = 5 here
         assert rec["mean"] == pytest.approx(5.0, abs=5 * rec["stderr"])
 
+    @pytest.mark.parametrize("nu", ["0,1", "0.5,0.5", "1,0.25"])
+    def test_embedded_boundary_record_is_strict_json(self, tmp_path, capsys, nu):
+        # alpha = p - 1 + 1e-7: the last chi-square would underflow in linear space.
+        path = sigma_file(tmp_path, [[2.0, 0.6], [0.6, 1.0]])
+        code, out, _ = run(
+            capsys, "verify", "--alpha", "1.0000001", "--sigma", path,
+            "--partition", "1,1", "--nu", nu, "--mode", "embedded",
+            "--samples", "100000", "--seed", "3",
+        )
+        assert code in (EXIT_OK, EXIT_INCONSISTENT)
+        rec = strict_json(out)
+        assert math.isfinite(rec["mean_log"]) and math.isfinite(rec["z"])
+
+    def test_disjoint_all_draws_minus_inf_exits_domain(self, tmp_path, capsys):
+        # chi2(1e-7) underflows to 0 on every draw, so no estimate exists.
+        path = sigma_file(tmp_path, [[1.0]])
+        code, out, err = run(
+            capsys, "verify", "--alpha", "1e-7", "--sigma", path,
+            "--partition", "1", "--nu", "1", "--mode", "disjoint",
+            "--samples", "1000", "--seed", "0",
+        )
+        assert code == EXIT_DOMAIN and out == ""
+        assert "-inf" in err
+
+    def test_disjoint_singular_block_draws_do_not_crash(self, tmp_path, capsys):
+        # Most draws have a singular 2x2 block, which Cholesky refuses.
+        path = sigma_file(tmp_path, np.diag([1.0, 2.0]))
+        code, out, _ = run(
+            capsys, "verify", "--alpha", "1.0000001", "--sigma", path,
+            "--partition", "2", "--nu", "1", "--mode", "disjoint",
+            "--samples", "1000", "--seed", "0",
+        )
+        assert code in (EXIT_OK, EXIT_INCONSISTENT)
+        rec = strict_json(out)
+        assert math.isfinite(rec["mean_log"]) and math.isfinite(rec["z"])
+
+    def test_disjoint_singular_unit_blocks_get_a_verdict(self, tmp_path, capsys):
+        path = sigma_file(tmp_path, np.diag([1.0, 2.0, 3.0, 4.0]))
+        code, out, _ = run(
+            capsys, "verify", "--alpha", "2", "--sigma", path,
+            "--partition", "1,1,1,1", "--nu", "1,0.5,1,2", "--mode", "disjoint",
+            "--samples", "100000", "--seed", "3",
+        )
+        assert code == EXIT_OK
+        rec = strict_json(out)
+        # E X_kk^nu = (2 s_k)^nu Gamma(1 + nu) / Gamma(1) for chi2(2)-scaled entries.
+        want = sum(
+            v * math.log(2.0 * s) + math.lgamma(1.0 + v)
+            for s, v in zip((1.0, 2.0, 3.0, 4.0), (1.0, 0.5, 1.0, 2.0))
+        )
+        assert rec["exact_log"] == pytest.approx(want, rel=1e-12)
+        assert rec["verdict"] == "consistent" and "note" not in rec
+
+    def test_disjoint_singular_unit_blocks_coupled_reports_mc_only(
+        self, tmp_path, capsys
+    ):
+        sigma = np.diag([1.0, 2.0, 3.0, 4.0])
+        sigma[0, 1] = sigma[1, 0] = 0.3
+        path = sigma_file(tmp_path, sigma)
+        code, out, _ = run(
+            capsys, "verify", "--alpha", "2", "--sigma", path,
+            "--partition", "1,1,1,1", "--nu", "1,0.5,1,2", "--mode", "disjoint",
+            "--samples", "10000", "--seed", "3",
+        )
+        assert code == EXIT_OK
+        rec = strict_json(out)
+        assert rec["exact_log"] is None and rec["verdict"] is None
+        assert "block diagonal" in rec["note"]
+        assert math.isfinite(rec["mean_log"])
+
     def test_inconsistent_exit_code(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(
             "wishminors.cli.compare",
@@ -316,6 +393,16 @@ class TestGpi:
         assert lines[0]["config"]["dims"] == [1, 2]
         assert all("alpha" in row for row in lines[1:])
         assert "verdict" in err or "consistent" in err
+
+    def test_all_draws_minus_inf_exits_domain(self, tmp_path, capsys):
+        dest = tmp_path / "trials.jsonl"
+        code, out, err = run(
+            capsys, "gpi", "--kind", "wishart", "--dims", "1",
+            "--alpha-range", "1e-7:1e-7", "--trials", "2", "--samples", "1000",
+            "--seed", "0", "--out", str(dest),
+        )
+        assert code == EXIT_DOMAIN and out == ""
+        assert "-inf" in err and not dest.exists()
 
     def test_wishart_without_alpha_range_exits_domain(self, capsys):
         code, _, err = run(

@@ -21,7 +21,7 @@ from wishminors import (
     estimate_embedded,
     estimate_log_statistic,
 )
-from wishminors.montecarlo import _verdict_for
+from wishminors.montecarlo import _embedded_stat_factory, _verdict_for
 from wishminors.streams import chunk_sizes
 from conftest import random_spd
 
@@ -102,6 +102,31 @@ class TestEngine:
         assert est.stderr == 0.0
         assert est.mean_log == 0.0
 
+    def test_minus_inf_chunks_merge(self):
+        # A chunk whose every draw is -inf adds nothing; the rest stay finite.
+        def stat(rng, m):
+            if rng.random() < 0.5:
+                return np.full(m, -np.inf)
+            return np.log(rng.chisquare(3.0, size=m))
+
+        est = estimate_log_statistic(stat, 6_400, seed=4)
+        assert math.isfinite(est.mean_log) and math.isfinite(est.stderr_log)
+        assert est.min_log == -math.inf
+
+    def test_all_draws_minus_inf_degenerate(self):
+        with pytest.raises(DegenerateEstimate, match="-inf"):
+            estimate_log_statistic(lambda r, m: np.full(m, -np.inf), 1_000, seed=1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_draw_degenerate(self, bad):
+        def stat(rng, m):
+            s = rng.standard_normal(m)
+            s[m // 2] = bad
+            return s
+
+        with pytest.raises(DegenerateEstimate, match="non-finite"):
+            estimate_log_statistic(stat, 1_000, seed=1)
+
     def test_bad_inputs(self):
         with pytest.raises(DomainError):
             estimate_log_statistic(lambda r, m: np.zeros(m), 0, seed=1)
@@ -138,6 +163,41 @@ class TestEstimateEmbedded:
         q = MomentQuery(partition=BlockPartition((1, 1)), nu=(1.0, 1.0))
         with pytest.raises(SingularRegime):
             estimate_embedded(params_of(1.0, np.eye(2)), q, 100, seed=0)
+
+    @pytest.mark.parametrize("nu", [(0.0, 1.0), (0.5, 0.5), (1.0, 0.25)])
+    def test_boundary_shape_against_exact(self, nu):
+        # alpha = p - 1 + 1e-3: the last Bartlett chi-square has 1e-3 degrees
+        # of freedom, far below where a linear-space draw underflows to 0.
+        sigma = np.array([[2.0, 0.6], [0.6, 1.0]])
+        pr = params_of(1.001, sigma)
+        q = MomentQuery(partition=BlockPartition((1, 1)), nu=nu)
+        exact = embedded_moment_log(pr.alpha, pr.sigma, q).log_value
+        for seed in range(5):
+            est = estimate_embedded(pr, q, 100_000, seed=seed)
+            assert abs(compare(exact, est).z) <= 4.0
+
+    @pytest.mark.parametrize("alpha", [3.5, 9.0])
+    def test_draws_only_chi_squares_and_boost_uniforms(self, alpha):
+        # dofs 3.5, 2.5, 1.5, 0.5 boost two columns; dofs 9 ... 6 boost none.
+        sigma = np.diag([1.0, 2.0, 3.0, 4.0])
+        pr = params_of(alpha, sigma)
+        q = MomentQuery(partition=BlockPartition((1, 3)), nu=(0.5, 1.0))
+        stat = _embedded_stat_factory(pr, q)
+        m = 257
+        rng = np.random.Generator(np.random.Philox(11))
+        got = stat(rng, m)
+
+        ref = np.random.Generator(np.random.Philox(11))
+        dofs = alpha - np.arange(4.0)
+        small = dofs < 2.0
+        log_chisq = np.log(ref.chisquare(np.where(small, dofs + 2.0, dofs), size=(m, 4)))
+        log_chisq[:, small] += np.log(ref.random((m, int(small.sum())))) * (
+            2.0 / dofs[small]
+        )
+        assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
+        weights = np.array([1.5, 1.0, 1.0, 1.0])
+        want = log_chisq @ weights + float(weights @ np.log(np.diag(sigma)))
+        assert np.allclose(got, want, rtol=1e-13, atol=1e-12)
 
 
 class TestEstimateDisjoint:
@@ -222,6 +282,15 @@ class TestCompare:
             compare(
                 0.5,
                 make_estimate(mean=1.0, stderr=0.0, mean_log=0.0, stderr_log=-math.inf),
+            )
+
+    def test_constant_statistic_nan_gap_degenerate(self):
+        with pytest.raises(DegenerateEstimate):
+            compare(
+                0.0,
+                make_estimate(
+                    mean=math.nan, stderr=0.0, mean_log=math.nan, stderr_log=-math.inf
+                ),
             )
 
     def test_needs_two_samples(self):
