@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: exact, verify, sample, gpi.  Every artifact embeds the tool
-version, the fully resolved configuration, the seed, and the worker
-count, so any output can be regenerated from itself.  Exit codes:
+version, the fully resolved configuration and the seed, so any output
+can be regenerated from itself; the worker count it echoes never changes
+a result.  Exit codes:
 0 ok/consistent, 1 I/O or parse failure, 2 domain error, 3 verification
 inconsistency.
 """
@@ -419,7 +420,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=os.cpu_count() or 1,
-        help="parallel worker count (default: machine parallelism)",
+        help="threads to run on; results do not depend on it "
+        "(default: machine parallelism)",
     )
     parser.add_argument(
         "--format",

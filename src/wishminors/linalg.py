@@ -81,11 +81,9 @@ class SpdMatrix:
     chol: np.ndarray = field(repr=False)
 
     @classmethod
-    def from_array(cls, m, symmetrize: bool = False) -> "SpdMatrix":
-        """Validate and wrap ``m``; ``symmetrize`` averages with the transpose first."""
+    def from_array(cls, m) -> "SpdMatrix":
+        """Validate and wrap ``m``, which must be exactly symmetric."""
         a = _as_square(m).copy()
-        if symmetrize:
-            a = 0.5 * (a + a.T)
         low = cholesky(a)
         err = np.linalg.norm(low @ low.T - a)
         scale = max(np.linalg.norm(a), 1.0)

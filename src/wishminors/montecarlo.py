@@ -3,8 +3,9 @@
 Per-sample statistics live in log space (s = sum of nu-weighted minor
 log-determinants); the estimator reduces each chunk with a log-sum-exp,
 merges chunks under a global shift, and takes the standard error across
-chunk means.  With >= 64 chunks this is robust to the heavy right tail
-of exp(s) where a naive per-sample variance badly undercovers.
+chunk means.  With 64 chunks (fewer only below 64 draws) this is robust
+to the heavy right tail of exp(s) where a naive per-sample variance
+badly undercovers.
 """
 from __future__ import annotations
 
@@ -14,19 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateEstimate,
-    DimensionMismatch,
-    DomainError,
-    SingularRegime,
-)
+from .errors import DegenerateEstimate, DimensionMismatch, DomainError, SingularRegime
 from .linalg import BlockPartition
 from .moments import MomentQuery
-from .streams import chunk_sizes, map_ordered, substreams
-from .wishart import Regime, WishartParams, _bartlett_dofs, _bartlett_factors
+from .streams import chunk_sizes, map_ordered, substreams  # noqa: F401 - bench/spans.py wraps them
+from .wishart import Regime, WishartParams, _bartlett_dofs, _bartlett_factors, map_chunks
 
 __all__ = [
-    "MIN_CHUNKS",
     "McEstimate",
     "Verdict",
     "ComparisonReport",
@@ -37,8 +32,6 @@ __all__ = [
     "compare",
     "exp_or_inf",
 ]
-
-MIN_CHUNKS = 64
 
 # Zero-spread estimates must match the exact value this tightly or the
 # comparison is declared degenerate instead of silently "consistent".
@@ -114,20 +107,15 @@ def _verdict_for(z: float) -> Verdict:
 def estimate_log_statistic(stat_fn, n: int, seed: int, workers: int = 1) -> McEstimate:
     """Estimate E[exp(s)] where ``stat_fn(rng, m)`` draws m values of s.
 
-    The sample is split into ``min(n, max(64, workers))`` chunks, one
-    Philox substream each; chunk log-sum-exp reductions are merged in
-    fixed chunk order under a running-max shift, so the result is
-    deterministic for a given (seed, workers) and never overflows on the
-    way to the final mean.
+    ``map_chunks`` splits the sample into ``min(n, 64)`` chunks, one Philox
+    substream each; chunk log-sum-exp reductions are merged in fixed chunk
+    order under a running-max shift, so the result depends only on
+    ``(n, seed)``, not on ``workers``, and never overflows on the way to the
+    final mean.
     """
     if int(n) != n or n < 1:
         raise DomainError(f"sample count must be a positive integer, got {n!r}")
-    if workers < 1:
-        raise DomainError(f"workers must be >= 1, got {workers}")
     n = int(n)
-    n_chunks = min(n, max(MIN_CHUNKS, workers))
-    sizes = chunk_sizes(n, n_chunks)
-    gens = substreams(seed, n_chunks)
 
     def run(task):
         rng, m = task
@@ -138,16 +126,15 @@ def estimate_log_statistic(stat_fn, n: int, seed: int, workers: int = 1) -> McEs
         if not top < math.inf:
             raise DegenerateEstimate(f"statistic drew a non-finite value {top}")
         if top == -math.inf:
-            return -math.inf, top, top
-        lse = top + math.log(float(np.sum(np.exp(s - top))))
-        return lse, top, float(np.min(s))
+            return -math.inf, m, top, top
+        log_mean = top + math.log(float(np.sum(np.exp(s - top)))) - math.log(m)
+        return log_mean, m, top, float(np.min(s))
 
-    reduced = map_ordered(run, list(zip(gens, sizes)), workers=workers)
-    chunk_log_means = np.array(
-        [lse - math.log(m) for (lse, _, _), m in zip(reduced, sizes)]
-    )
-    max_log = max(top for _, top, _ in reduced)
-    min_log = min(low for _, _, low in reduced)
+    log_means, sizes, tops, lows = zip(*map_chunks(run, n, seed, workers))
+    chunk_log_means = np.array(log_means)
+    n_chunks = len(sizes)
+    max_log = max(tops)
+    min_log = min(lows)
     if max_log == -math.inf:
         raise DegenerateEstimate(f"all {n} draws of the log statistic are -inf")
 
@@ -155,10 +142,7 @@ def estimate_log_statistic(stat_fn, n: int, seed: int, workers: int = 1) -> McEs
     scaled = np.exp(chunk_log_means - shift)
     weights = np.asarray(sizes, dtype=float)
     mean_log = shift + math.log(float(np.dot(weights, scaled)) / n)
-    if n_chunks >= 2:
-        spread = float(np.std(scaled, ddof=1))
-    else:
-        spread = 0.0
+    spread = float(np.std(scaled, ddof=1)) if n_chunks >= 2 else 0.0
     if spread > 0.0:
         stderr_log = shift + math.log(spread) - 0.5 * math.log(n_chunks)
     else:
@@ -209,10 +193,7 @@ def estimate_embedded(
     is the product of the first P_i squared diagonal entries of T = L A,
     so a draw needs only the p Bartlett chi-squares, taken in log space.
     """
-    if params.regime is not Regime.NONSINGULAR:
-        raise SingularRegime(
-            f"embedded-minor estimation needs alpha > dim-1, got alpha={params.alpha}"
-        )
+    params.require_nonsingular("embedded-minor estimation")
     query.partition.check_covers(params.dim)
     return estimate_log_statistic(_embedded_stat_factory(params, query), n, seed, workers)
 
@@ -234,7 +215,8 @@ def _disjoint_stat_bartlett(params: WishartParams, query: MomentQuery):
         for a, b, nu_k in spans:
             if b - a == 1:
                 diag_entry = np.einsum("mj,mj->m", t[:, a, : a + 1], t[:, a, : a + 1])
-                s += nu_k * np.log(diag_entry)
+                with np.errstate(divide="ignore"):  # an underflowed chi-square gives -inf
+                    s += nu_k * np.log(diag_entry)
             else:
                 rows = t[:, a:b, :b]
                 block = np.matmul(rows, rows.transpose(0, 2, 1))

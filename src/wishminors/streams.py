@@ -1,9 +1,10 @@
 """Deterministic parallel random number streams.
 
 All samplers draw from counter-based Philox generators seeded through a
-single ``SeedSequence``: the stream layout (how many substreams, which
-chunk of work each one covers) is a pure function of ``(seed, chunks)``,
-so results are bit-identical for any worker count.
+single ``SeedSequence``.  ``wishart.map_chunks`` fixes the stream layout
+(how many substreams, which draws each one covers) from the draw count
+alone and uses ``map_ordered`` only to schedule chunks onto threads, so
+results depend on ``(n, seed)`` and are bit-identical for any worker count.
 """
 from __future__ import annotations
 

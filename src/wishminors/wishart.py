@@ -1,4 +1,4 @@
-"""Wishart parameters, density, and samplers.
+"""Wishart parameters, density, samplers, and the one chunked-sampling driver.
 
 A p x p Wishart with shape ``alpha`` and scale ``sigma`` is supported on
 positive definite matrices when ``alpha > p - 1`` (the nonsingular
@@ -24,12 +24,17 @@ __all__ = [
     "Regime",
     "WishartParams",
     "SampleBatch",
+    "map_chunks",
     "log_density",
     "sample_bartlett",
     "sample_gaussian_sum",
 ]
 
 _LOG_2 = math.log(2.0)
+
+# A fixed chunk count keeps the batch-means error valid and makes the chunk
+# layout, and with it every draw, a function of (n, seed) alone.
+_CHUNKS = 64
 
 
 class Regime(enum.Enum):
@@ -64,6 +69,13 @@ class WishartParams:
     def dim(self) -> int:
         return self.sigma.dim
 
+    def require_nonsingular(self, what: str) -> None:
+        """Raise SingularRegime unless ``alpha > dim - 1``; ``what`` names the need."""
+        if self.regime is not Regime.NONSINGULAR:
+            raise SingularRegime(
+                f"{what} needs alpha > dim-1={self.dim - 1}, got alpha={self.alpha}"
+            )
+
 
 @dataclass(frozen=True, eq=False)
 class SampleBatch:
@@ -77,7 +89,6 @@ class SampleBatch:
     params: WishartParams
     count: int
     seed: int
-    workers: int
     method: str
     draws: np.ndarray
     factors: np.ndarray | None
@@ -97,10 +108,7 @@ def log_density(params: WishartParams, x) -> float:
     DimensionMismatch
         If ``x`` has a different dimension than the scale.
     """
-    if params.regime is not Regime.NONSINGULAR:
-        raise SingularRegime(
-            f"alpha={params.alpha} <= dim-1={params.dim - 1}: no Lebesgue density"
-        )
+    params.require_nonsingular("a Lebesgue density")
     if not isinstance(x, SpdMatrix):
         x = SpdMatrix.from_array(x)
     p = params.dim
@@ -117,10 +125,15 @@ def log_density(params: WishartParams, x) -> float:
     )
 
 
-def _check_count(count: int) -> int:
-    if int(count) != count or count < 0:
-        raise DomainError(f"draw count must be a nonnegative integer, got {count!r}")
-    return int(count)
+def map_chunks(fn, n: int, seed: int, workers: int = 1) -> list:
+    """Map ``fn((rng, m))`` over ``n`` draws split into ``min(n, 64)`` chunks.
+
+    Chunk ``i`` holds ``m`` draws from substream ``i`` of ``seed``, and the
+    results come back in chunk order, so they depend on ``(n, seed)`` alone:
+    ``workers`` only schedules chunks onto threads.  Zero draws give ``[]``.
+    """
+    sizes = chunk_sizes(n, min(n, _CHUNKS)) if n else []
+    return map_ordered(fn, zip(substreams(seed, len(sizes)), sizes), workers=workers)
 
 
 def _bartlett_dofs(alpha: float, p: int) -> np.ndarray:
@@ -147,6 +160,31 @@ def _bartlett_factors(rng: np.random.Generator, m: int, p: int, dofs, scale_chol
     return np.matmul(scale_chol, a)
 
 
+def _sample_batch(params, method, run, count, seed, workers) -> SampleBatch:
+    """Stack the per-chunk ``(draws, factors)`` that ``run`` returns into a batch.
+
+    ``factors`` is kept for the bartlett method only.
+    """
+    if int(count) != count or count < 0:
+        raise DomainError(f"draw count must be a nonnegative integer, got {count!r}")
+    parts = map_chunks(run, int(count), seed, workers)
+    empty = np.zeros((0, params.dim, params.dim))
+
+    def stack(arrays):
+        out = np.concatenate([empty, *arrays])
+        out.setflags(write=False)
+        return out
+
+    return SampleBatch(
+        params=params,
+        count=int(count),
+        seed=int(seed),
+        method=method,
+        draws=stack(x for x, _ in parts),
+        factors=stack(t for _, t in parts) if method == "bartlett" else None,
+    )
+
+
 def sample_bartlett(
     params: WishartParams, count: int, seed: int, workers: int = 1
 ) -> SampleBatch:
@@ -162,26 +200,19 @@ def sample_bartlett(
     count : int
         Number of draws (>= 0).
     seed : int
-        Root seed; draw ``i`` depends only on (seed, workers) chunk layout.
+        Root seed; the draws depend only on (seed, count), see ``map_chunks``.
     workers : int
-        Number of substreams, one per parallel chunk.
+        Threads that run the chunks; it does not change the draws.
 
     Returns
     -------
     SampleBatch
         With ``factors`` populated.
     """
-    if params.regime is not Regime.NONSINGULAR:
-        raise SingularRegime(
-            f"triangular sampler needs alpha > dim-1, got alpha={params.alpha}, "
-            f"dim={params.dim}"
-        )
-    count = _check_count(count)
+    params.require_nonsingular("the triangular sampler")
     p = params.dim
     dofs = _bartlett_dofs(params.alpha, p)
     scale_chol = params.sigma.chol
-    sizes = chunk_sizes(count, max(workers, 1))
-    gens = substreams(seed, len(sizes))
 
     def run(task):
         rng, m = task
@@ -189,20 +220,7 @@ def sample_bartlett(
         x = np.matmul(t, t.transpose(0, 2, 1))
         return 0.5 * (x + x.transpose(0, 2, 1)), t
 
-    parts = map_ordered(run, list(zip(gens, sizes)), workers=workers)
-    draws = np.concatenate([x for x, _ in parts]) if parts else np.zeros((0, p, p))
-    factors = np.concatenate([t for _, t in parts]) if parts else np.zeros((0, p, p))
-    draws.setflags(write=False)
-    factors.setflags(write=False)
-    return SampleBatch(
-        params=params,
-        count=count,
-        seed=int(seed),
-        workers=workers,
-        method="bartlett",
-        draws=draws,
-        factors=factors,
-    )
+    return _sample_batch(params, "bartlett", run, count, seed, workers)
 
 
 def sample_gaussian_sum(
@@ -212,7 +230,8 @@ def sample_gaussian_sum(
 
     Each draw is ``sum_{k=1}^{alpha} z_k z_k^T`` with ``z_k ~ N(0, sigma)``
     i.i.d., which works for any positive integer shape including the
-    singular regime ``alpha <= dim - 1``.
+    singular regime ``alpha <= dim - 1``.  Like ``sample_bartlett``, the
+    draws depend only on (seed, count), not on ``workers``.
 
     Raises
     ------
@@ -224,29 +243,15 @@ def sample_gaussian_sum(
         raise NonIntegerAlpha(
             f"sum-of-outer-products sampler needs integer alpha >= 1, got {alpha}"
         )
-    count = _check_count(count)
     n_terms = int(alpha)
     p = params.dim
     scale_chol_t = params.sigma.chol.T
-    sizes = chunk_sizes(count, max(workers, 1))
-    gens = substreams(seed, len(sizes))
 
     def run(task):
         rng, m = task
         g = rng.standard_normal((m, n_terms, p))
         z = g @ scale_chol_t
         x = np.matmul(z.transpose(0, 2, 1), z)
-        return 0.5 * (x + x.transpose(0, 2, 1))
+        return 0.5 * (x + x.transpose(0, 2, 1)), None
 
-    parts = map_ordered(run, list(zip(gens, sizes)), workers=workers)
-    draws = np.concatenate(parts) if parts else np.zeros((0, p, p))
-    draws.setflags(write=False)
-    return SampleBatch(
-        params=params,
-        count=count,
-        seed=int(seed),
-        workers=workers,
-        method="gaussian-sum",
-        draws=draws,
-        factors=None,
-    )
+    return _sample_batch(params, "gaussian-sum", run, count, seed, workers)

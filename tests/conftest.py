@@ -2,7 +2,11 @@
 import numpy as np
 import pytest
 
+import wishminors.wishart
 from wishminors import BlockPartition, SpdMatrix
+
+# Worker counts a result must not depend on; the last two exceed the chunk count.
+WORKER_COUNTS = (1, 2, 3, 65, 128)
 
 
 def random_spd(rng, dim, cond=100.0, scale=1.0):
@@ -31,3 +35,15 @@ def random_partition(rng, total, max_blocks=None) -> BlockPartition:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260814)
+
+
+def serial_chunks_above(monkeypatch, workers, limit=3):
+    """Run chunks in order on this thread when ``workers > limit``.
+
+    The chunk driver then gets the large worker count but starts no threads.
+    """
+    if workers > limit:
+        monkeypatch.setattr(
+            wishminors.wishart, "map_ordered",
+            lambda fn, items, workers=1: [fn(item) for item in items],
+        )

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,6 +25,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     cap = capsys.readouterr()
     return code, cap.out, cap.err
+
+
+def run_quietly(capsys, *argv):
+    """``run``, asserting that no RuntimeWarning was raised or printed on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *argv)
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert "RuntimeWarning" not in err
+    return code, out, err
 
 
 def strict_json(text):
@@ -218,9 +229,10 @@ class TestVerify:
         assert math.isfinite(rec["mean_log"]) and math.isfinite(rec["z"])
 
     def test_disjoint_all_draws_minus_inf_exits_domain(self, tmp_path, capsys):
-        # chi2(1e-7) underflows to 0 on every draw, so no estimate exists.
+        # chi2(1e-7) underflows to 0 on every draw, so no estimate exists;
+        # the -inf log is expected and must not warn.
         path = sigma_file(tmp_path, [[1.0]])
-        code, out, err = run(
+        code, out, err = run_quietly(
             capsys, "verify", "--alpha", "1e-7", "--sigma", path,
             "--partition", "1", "--nu", "1", "--mode", "disjoint",
             "--samples", "1000", "--seed", "0",
@@ -396,7 +408,7 @@ class TestGpi:
 
     def test_all_draws_minus_inf_exits_domain(self, tmp_path, capsys):
         dest = tmp_path / "trials.jsonl"
-        code, out, err = run(
+        code, out, err = run_quietly(
             capsys, "gpi", "--kind", "wishart", "--dims", "1",
             "--alpha-range", "1e-7:1e-7", "--trials", "2", "--samples", "1000",
             "--seed", "0", "--out", str(dest),
@@ -447,6 +459,21 @@ class TestRerunByteIdentity:
                 capsys, "sample", "--alpha", "4", "--sigma", path,
                 "--count", "5", "--method", "bartlett", "--seed", "13",
                 "--workers", "2", "--out", str(dest),
+            )
+            assert code == EXIT_OK
+            outs.append(dest.read_bytes())
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("method", ["bartlett", "gaussian-sum"])
+    def test_sample_file_ignores_workers(self, tmp_path, capsys, method):
+        path = sigma_file(tmp_path, [[2.0, 0.5], [0.5, 1.0]])
+        outs = []
+        for workers in ("1", "2"):
+            dest = tmp_path / f"draws{workers}.csv"
+            code, _, _ = run(
+                capsys, "sample", "--alpha", "4", "--sigma", path,
+                "--count", "100", "--method", method, "--seed", "7",
+                "--workers", workers, "--out", str(dest),
             )
             assert code == EXIT_OK
             outs.append(dest.read_bytes())

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ from wishminors import (
 )
 from wishminors.montecarlo import _embedded_stat_factory, _verdict_for
 from wishminors.streams import chunk_sizes
-from conftest import random_spd
+from conftest import WORKER_COUNTS, random_spd, serial_chunks_above
 
 
 def params_of(alpha, sigma):
@@ -73,7 +74,7 @@ class TestEngine:
         assert (a.mean_log, a.stderr_log) == (b.mean_log, b.stderr_log)
 
     def test_worker_count_invariant_below_chunk_floor(self):
-        # chunk layout is max(64, workers): any workers <= 64 share it
+        # the chunk layout is min(n, 64) whatever the worker count
         def stat(rng, m):
             return rng.standard_normal(m)
 
@@ -241,6 +242,16 @@ class TestEstimateDisjoint:
         b = estimate_disjoint(pr, q_merged, 50_000, seed=37)
         assert a.mean_log == pytest.approx(b.mean_log, rel=1e-10)
         assert a.stderr_log == pytest.approx(b.stderr_log, rel=1e-10)
+
+    @pytest.mark.parametrize("workers", WORKER_COUNTS[1:])
+    def test_estimate_ignores_workers(self, monkeypatch, workers):
+        pr = params_of(4.5, [[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.5]])
+        q = MomentQuery(partition=BlockPartition((1, 2)), nu=(1.0, 0.5))
+        want = estimate_disjoint(pr, q, 1_000, seed=41, workers=1)
+        serial_chunks_above(monkeypatch, workers)
+        got = estimate_disjoint(pr, q, 1_000, seed=41, workers=workers)
+        assert got.worker_count == workers
+        assert dataclasses.replace(got, worker_count=1) == want
 
 
 class TestCompare:

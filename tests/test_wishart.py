@@ -15,7 +15,7 @@ from wishminors import (
     sample_bartlett,
     sample_gaussian_sum,
 )
-from conftest import random_spd
+from conftest import WORKER_COUNTS, random_spd, serial_chunks_above
 
 
 def params_of(alpha, sigma):
@@ -177,6 +177,23 @@ class TestSampleGaussianSum:
         b = sample_gaussian_sum(pr, 64, seed=11, workers=2)
         assert np.array_equal(a.draws, b.draws)
         assert a.factors is None
+
+
+class TestWorkerInvariance:
+    @pytest.mark.parametrize("workers", WORKER_COUNTS[1:])
+    @pytest.mark.parametrize(
+        "sampler", [sample_bartlett, sample_gaussian_sum], ids=["bartlett", "gaussian_sum"]
+    )
+    def test_draws_ignore_workers(self, monkeypatch, sampler, workers):
+        pr = params_of(4.0, [[2.0, 0.5, 0.0], [0.5, 1.0, 0.3], [0.0, 0.3, 1.5]])
+        want = sampler(pr, 100, seed=7, workers=1)
+        serial_chunks_above(monkeypatch, workers)
+        got = sampler(pr, 100, seed=7, workers=workers)
+        assert np.array_equal(got.draws, want.draws)
+        if want.factors is None:
+            assert got.factors is None
+        else:
+            assert np.array_equal(got.factors, want.factors)
 
 
 class TestSamplerAgreement:
