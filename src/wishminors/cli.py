@@ -199,7 +199,7 @@ def _moment_inputs(args):
     partition = BlockPartition(_parse_ints(args.partition, "--partition"))
     nu = _parse_floats(args.nu, "--nu")
     query = MomentQuery(partition=partition, nu=nu)
-    return sigma, query
+    return WishartParams(alpha=args.alpha, sigma=sigma), query
 
 
 def _base_config(args, command: str) -> dict:
@@ -213,7 +213,7 @@ def _base_config(args, command: str) -> dict:
 
 
 def cmd_exact(args) -> int:
-    sigma, query = _moment_inputs(args)
+    params, query = _moment_inputs(args)
     config = _base_config(args, "exact")
     config.update(
         {
@@ -226,10 +226,10 @@ def cmd_exact(args) -> int:
     )
     if args.disjoint_blockdiag:
         # Refuses a scale with off-block coupling before the factors are taken.
-        disjoint_moment_block_diag_log(args.alpha, sigma, query)
-        exact = block_moments_log(args.alpha, sigma, query)
+        disjoint_moment_block_diag_log(params, query)
+        exact = block_moments_log(params, query)
     else:
-        exact = embedded_moment_log(args.alpha, sigma, query)
+        exact = embedded_moment_log(params, query)
     record = {
         "tool": _tool_record(),
         "config": config,
@@ -245,8 +245,7 @@ def cmd_exact(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    sigma, query = _moment_inputs(args)
-    params = WishartParams(alpha=args.alpha, sigma=sigma)
+    params, query = _moment_inputs(args)
     config = _base_config(args, "verify")
     config.update(
         {
@@ -260,12 +259,12 @@ def cmd_verify(args) -> int:
     )
     note = None
     if args.mode == "embedded":
-        exact_log = embedded_moment_log(args.alpha, sigma, query).log_value
+        exact_log = embedded_moment_log(params, query).log_value
         mc = estimate_embedded(params, query, args.samples, args.seed, args.workers)
     else:
         mc = estimate_disjoint(params, query, args.samples, args.seed, args.workers)
         try:
-            check_block_diagonal(sigma, query.partition)
+            check_block_diagonal(params.sigma, query.partition)
         except NotBlockDiagonal as exc:
             exact_log = None
             note = (
@@ -273,7 +272,7 @@ def cmd_verify(args) -> int:
                 f"({exc}); reporting Monte Carlo only"
             )
         else:
-            exact_log = block_moments_log(args.alpha, sigma, query).log_value
+            exact_log = block_moments_log(params, query).log_value
     if exact_log is None:
         z = None
         verdict = None

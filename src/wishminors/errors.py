@@ -17,7 +17,7 @@ class DomainError(WishminorsError):
     """A scalar parameter lies outside its admissible domain."""
 
 
-class SingularRegime(WishminorsError):
+class SingularRegime(DomainError):
     """The requested operation needs a nonsingular Wishart (shape > dim - 1)."""
 
 

@@ -31,7 +31,7 @@ from .montecarlo import (
     exp_or_inf,
 )
 from .montecarlo import estimate_log_statistic  # noqa: F401 - bench/spans.py wraps it
-from .streams import map_ordered
+from .streams import check_seed, map_ordered
 from .wishart import WishartParams
 
 __all__ = [
@@ -123,7 +123,7 @@ def gpi_ratio(instance, n: int, seed: int, workers: int = 1) -> GpiResult:
     error is entirely the numerator's.
     """
     query = MomentQuery(partition=instance.partition, nu=instance.nu)
-    den = block_moments_log(instance.params.alpha, instance.params.sigma, query).log_value
+    den = block_moments_log(instance.params, query).log_value
     num = estimate_disjoint(instance.params, query, n, seed, workers)
     report = compare(den, num)
     ratio_log = num.mean_log - den
@@ -188,6 +188,7 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if self.kind not in ("wishart", "gaussian"):
             raise DomainError(f"kind must be 'wishart' or 'gaussian', got {self.kind!r}")
+        check_seed(self.seed)
         lo, hi = self.dims
         if not (1 <= lo <= hi):
             raise DomainError(f"dimension range must satisfy 1 <= lo <= hi, got {self.dims}")
@@ -201,10 +202,11 @@ class SearchConfig:
             if self.alpha_range is None:
                 raise DomainError("wishart search needs an alpha range")
             alo, ahi = self.alpha_range
-            if not (alo <= ahi and ahi > hi - 1):
+            finite = math.isfinite(alo) and math.isfinite(ahi)
+            if not (finite and alo <= ahi and ahi > hi - 1):
                 raise DomainError(
-                    f"alpha range {self.alpha_range} leaves no admissible shape "
-                    f"for dimension {hi}"
+                    f"alpha range {self.alpha_range} is not finite or leaves no "
+                    f"admissible shape for dimension {hi}"
                 )
         if self.rho_grid is not None:
             if self.kind != "gaussian" or (lo, hi) != (2, 2):

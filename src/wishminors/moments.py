@@ -25,6 +25,7 @@ import numpy as np
 from .errors import DimensionMismatch, DomainError, NotBlockDiagonal
 from .linalg import BlockPartition, SpdMatrix, leading_logdets
 from .specfun import log_multigamma_ratio
+from .wishart import WishartParams
 
 __all__ = [
     "MomentQuery",
@@ -89,81 +90,71 @@ class ExactMoment:
     factors: tuple[MomentFactor, ...]
 
 
-def single_minor_moment_log(alpha: float, sigma: SpdMatrix, nu: float) -> float:
-    """log E[det(X)^nu] for X ~ Wishart(alpha, sigma), alpha > dim - 1.
+def _sum_factors(factors) -> ExactMoment:
+    """Sum the per-block factors; a total that is not finite is refused."""
+    factors = tuple(factors)
+    total = sum(f.det_term + f.gamma_term for f in factors)
+    if not math.isfinite(total):
+        raise DomainError(f"the log moment is {total}: a factor overflows double range")
+    return ExactMoment(log_value=total, factors=factors)
+
+
+def single_minor_moment_log(params: WishartParams, nu: float) -> float:
+    """log E[det(X)^nu]: the one-block nested-minor moment.
 
     Equals ``nu * log det(2 sigma) + log Gamma_p(alpha/2 + nu) - log Gamma_p(alpha/2)``.
     """
-    p = sigma.dim
-    alpha = float(alpha)
-    nu = float(nu)
-    if not alpha > p - 1:
-        raise DomainError(f"need alpha > dim - 1 = {p - 1}, got alpha={alpha}")
-    if not math.isfinite(nu) or nu < 0:
-        raise DomainError(f"exponent must be finite and >= 0, got {nu}")
-    return nu * (p * _LOG_2 + sigma.logdet) + log_multigamma_ratio(p, alpha / 2.0, nu)
+    query = MomentQuery(partition=BlockPartition((params.dim,)), nu=(nu,))
+    return embedded_moment_log(params, query).log_value
 
 
-def embedded_moment_log(alpha: float, sigma: SpdMatrix, query: MomentQuery) -> ExactMoment:
+def embedded_moment_log(params: WishartParams, query: MomentQuery) -> ExactMoment:
     """Exact joint moment of the nested leading-block minors, in log space.
 
     Block i multiplies in ``nu_i * log det(2 sigma[1:P_i, 1:P_i])`` and the
     order-p_i gamma ratio at base ``alpha/2 - P_{i-1}/2`` with shift V_i.
-    Requires the nonsingular regime ``alpha > dim - 1``, which also keeps
-    every gamma base above its pole since V_i >= 0.
+    Requires the nonsingular regime, which also keeps every gamma base
+    above its pole since V_i >= 0.
     """
+    params.require_nonsingular("the nested-minor moment")
     part = query.partition
-    part.check_covers(sigma.dim)
-    alpha = float(alpha)
-    p = sigma.dim
-    if not alpha > p - 1:
-        raise DomainError(f"need alpha > dim - 1 = {p - 1}, got alpha={alpha}")
-    logdets = leading_logdets(sigma, part)
-    factors = []
-    for i, (size, nu_i, v_i) in enumerate(zip(part.sizes, query.nu, query.suffix), start=1):
-        p_prev = part.prefix[i - 1]
-        p_here = part.prefix[i]
-        det_term = nu_i * (p_here * _LOG_2 + float(logdets[i - 1]))
-        gamma_term = log_multigamma_ratio(size, alpha / 2.0 - p_prev / 2.0, v_i)
-        factors.append(MomentFactor(block=i, det_term=det_term, gamma_term=gamma_term))
-    total = sum(f.det_term + f.gamma_term for f in factors)
-    return ExactMoment(log_value=total, factors=tuple(factors))
+    logdets = leading_logdets(params.sigma, part)
+    half_alpha = params.alpha / 2.0
+    return _sum_factors(
+        MomentFactor(
+            block=i + 1,
+            det_term=nu_i * (part.prefix[i + 1] * _LOG_2 + float(logdets[i])),
+            gamma_term=log_multigamma_ratio(size, half_alpha - part.prefix[i] / 2.0, v_i),
+        )
+        for i, (size, nu_i, v_i) in enumerate(zip(part.sizes, query.nu, query.suffix))
+    )
 
 
-def _worst_off_block_entry(entries: np.ndarray, part: BlockPartition):
-    mask = np.zeros(entries.shape, dtype=bool)
-    for k in range(part.blocks):
-        a, b = part.prefix[k], part.prefix[k + 1]
-        mask[a:b, a:b] = True
-    off = np.abs(np.where(mask, 0.0, entries))
-    idx = np.unravel_index(np.argmax(off), off.shape)
-    return float(off[idx]), (int(idx[0]), int(idx[1]))
-
-
-def block_moments_log(alpha: float, sigma: SpdMatrix, query: MomentQuery) -> ExactMoment:
+def block_moments_log(params: WishartParams, query: MomentQuery) -> ExactMoment:
     """Product of the per-block marginal moments E[det(X_kk)^nu_k], in log space.
 
     X_kk ~ Wishart(alpha, sigma_kk) for any sigma, so block k contributes
     ``nu_k * (p_k log 2 + log det sigma_kk)`` and the order-p_k gamma ratio
-    at base alpha/2 with shift nu_k; it needs only alpha > p_k - 1.  The
-    product is the joint moment when sigma is block diagonal.
+    at base alpha/2 with shift nu_k; it needs only alpha > p_k - 1, which
+    the gamma ratio checks.  The product is the joint moment when sigma is
+    block diagonal.
     """
     part = query.partition
-    part.check_covers(sigma.dim)
-    factors = []
-    for k, (size, nu_k) in enumerate(zip(part.sizes, query.nu)):
-        a, b = part.prefix[k], part.prefix[k + 1]
-        block = SpdMatrix.from_array(sigma.entries[a:b, a:b])
-        det_term = nu_k * (size * _LOG_2 + block.logdet)
-        gamma_term = log_multigamma_ratio(size, alpha / 2.0, nu_k)
-        factors.append(MomentFactor(block=k + 1, det_term=det_term, gamma_term=gamma_term))
-    total = sum(f.det_term + f.gamma_term for f in factors)
-    return ExactMoment(log_value=total, factors=tuple(factors))
+    part.check_covers(params.dim)
+    entries = params.sigma.entries
+    return _sum_factors(
+        MomentFactor(
+            block=k + 1,
+            det_term=nu_k * (size * _LOG_2 + SpdMatrix.from_array(entries[a:b, a:b]).logdet),
+            gamma_term=log_multigamma_ratio(size, params.alpha / 2.0, nu_k),
+        )
+        for k, (size, nu_k, a, b) in enumerate(
+            zip(part.sizes, query.nu, part.prefix, part.prefix[1:])
+        )
+    )
 
 
-def disjoint_moment_block_diag_log(
-    alpha: float, sigma: SpdMatrix, query: MomentQuery
-) -> float:
+def disjoint_moment_block_diag_log(params: WishartParams, query: MomentQuery) -> float:
     """Exact joint moment of disjoint diagonal-block minors, block-diagonal scale only.
 
     When sigma is block diagonal along the partition the diagonal blocks
@@ -178,15 +169,8 @@ def disjoint_moment_block_diag_log(
         If any off-block entry exceeds 1e-12 times the largest diagonal
         entry; the message pinpoints the worst offender.
     """
-    part = query.partition
-    part.check_covers(sigma.dim)
-    alpha = float(alpha)
-    if not alpha > sigma.dim - 1:
-        raise DomainError(
-            f"need alpha > dim - 1 = {sigma.dim - 1}, got alpha={alpha}"
-        )
-    check_block_diagonal(sigma, part)
-    return block_moments_log(alpha, sigma, query).log_value
+    check_block_diagonal(params.sigma, query.partition)
+    return block_moments_log(params, query).log_value
 
 
 def check_block_diagonal(sigma: SpdMatrix, part: BlockPartition) -> None:
@@ -196,7 +180,11 @@ def check_block_diagonal(sigma: SpdMatrix, part: BlockPartition) -> None:
     largest diagonal entry; the message pinpoints the worst offender.
     """
     part.check_covers(sigma.dim)
-    worst, (r, c) = _worst_off_block_entry(sigma.entries, part)
+    off = np.abs(sigma.entries)
+    for a, b in zip(part.prefix, part.prefix[1:]):
+        off[a:b, a:b] = 0.0
+    r, c = (int(i) for i in np.unravel_index(np.argmax(off), off.shape))
+    worst = float(off[r, c])
     tol = _BLOCK_DIAG_TOL * float(np.max(np.diag(sigma.entries)))
     if worst > tol:
         raise NotBlockDiagonal(

@@ -50,7 +50,8 @@ def log_multigamma_ratio(p: int, beta: float, shift: float) -> float:
 
     Exactly 0.0 when ``shift`` is zero.  The pi prefactors cancel, so the
     result is a plain sum of ``lgamma(beta + shift - j/2) - lgamma(beta - j/2)``
-    terms, finite whenever ``beta > (p-1)/2``.
+    terms, defined whenever ``beta > (p-1)/2``.  Past double range it is
+    inf or, where both lgammas overflow, NaN, without a warning.
     """
     p = _check_order(p)
     beta = float(beta)
@@ -62,4 +63,5 @@ def log_multigamma_ratio(p: int, beta: float, shift: float) -> float:
     if shift == 0.0:
         return 0.0
     args = beta - 0.5 * np.arange(p)
-    return float(np.sum(gammaln(args + shift) - gammaln(args)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.sum(gammaln(args + shift) - gammaln(args)))

@@ -14,15 +14,20 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["substreams", "chunk_sizes", "map_ordered"]
+__all__ = ["check_seed", "substreams", "chunk_sizes", "map_ordered"]
 
 _SEED_MAX = 2**64
 
 
-def substreams(seed: int, count: int) -> list[np.random.Generator]:
-    """``count`` independent Philox generators spawned from ``seed``."""
+def check_seed(seed: int) -> None:
+    """Raise DomainError unless ``seed`` is an integer in [0, 2**64)."""
     if int(seed) != seed or not 0 <= seed < _SEED_MAX:
         raise DomainError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+
+
+def substreams(seed: int, count: int) -> list[np.random.Generator]:
+    """``count`` independent Philox generators spawned from ``seed``."""
+    check_seed(seed)
     if count < 0:
         raise DomainError(f"substream count must be >= 0, got {count}")
     children = np.random.SeedSequence(int(seed)).spawn(count)

@@ -54,14 +54,14 @@ class WishartParams:
         alpha = float(self.alpha)
         object.__setattr__(self, "alpha", alpha)
         p = self.sigma.dim
-        if alpha > p - 1:
+        if math.isfinite(alpha) and alpha > p - 1:
             regime = Regime.NONSINGULAR
         elif alpha >= 1 and float(alpha).is_integer():
             regime = Regime.SINGULAR_INTEGER
         else:
             raise DomainError(
                 f"shape alpha={alpha} is not admissible for dimension {p}: "
-                f"need alpha > {p - 1} or an integer in [1, {p - 1}]"
+                f"need a finite alpha > {p - 1} or an integer in [1, {p - 1}]"
             )
         object.__setattr__(self, "regime", regime)
 

@@ -85,7 +85,7 @@ def test_c01_embedded_formula_vs_monte_carlo_at_scale():
     for i, (p, sizes, alpha, nu, cond) in enumerate(EMBEDDED_CONFIGS):
         sigma = spd(random_spd(rng, p, cond=cond))
         query = MomentQuery(partition=BlockPartition(sizes), nu=nu)
-        exact_log = embedded_moment_log(alpha, sigma, query).log_value
+        exact_log = embedded_moment_log(WishartParams(alpha=alpha, sigma=sigma), query).log_value
         est = estimate_embedded(
             WishartParams(alpha=alpha, sigma=sigma), query, N_FULL, seed=1000 + i
         )
@@ -103,7 +103,7 @@ def test_c02_hand_checkable_exact_values():
     ]
     for alpha, sigma, sizes, nu, value in cases:
         query = MomentQuery(partition=BlockPartition(sizes), nu=nu)
-        got = embedded_moment_log(alpha, spd(sigma), query).log_value
+        got = embedded_moment_log(WishartParams(alpha=alpha, sigma=spd(sigma)), query).log_value
         assert math.isclose(got, math.log(value), rel_tol=LOG_REL_TOL)
 
 
@@ -247,7 +247,7 @@ def test_c07_disjoint_minor_oracles():
     for i, (sizes, alpha, nu) in enumerate(configs):
         sigma = spd(block_diag(*(random_spd(rng, s, cond=30.0) for s in sizes)))
         query = MomentQuery(partition=BlockPartition(sizes), nu=nu)
-        exact_log = disjoint_moment_block_diag_log(alpha, sigma, query)
+        exact_log = disjoint_moment_block_diag_log(WishartParams(alpha=alpha, sigma=sigma), query)
         est = estimate_disjoint(
             WishartParams(alpha=alpha, sigma=sigma), query, N_BLOCK, seed=7100 + i
         )
@@ -293,7 +293,7 @@ def test_c09_z_score_calibration():
     alpha, sigma = 3.0, spd(np.eye(2))
     query = MomentQuery(partition=BlockPartition((1, 1)), nu=(1.0, 1.0))
     params = WishartParams(alpha=alpha, sigma=sigma)
-    exact_log = embedded_moment_log(alpha, sigma, query).log_value
+    exact_log = embedded_moment_log(params, query).log_value
     hits = 0
     for s in range(200):
         est = estimate_embedded(params, query, N_COVERAGE, seed=9000 + s)

@@ -432,6 +432,61 @@ class TestGpi:
         assert code == EXIT_PARSE
 
 
+def run_subprocess(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "wishminors.cli", *argv], capture_output=True, text=True
+    )
+
+
+class TestOutOfRangeInputs:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["exact", "--alpha", "inf", "--partition", "1,1", "--nu", "1,1"],
+                         id="exact-alpha-inf"),
+            pytest.param(["exact", "--alpha", "1e306", "--partition", "1,1", "--nu", "1,1"],
+                         id="exact-alpha-1e306"),
+            pytest.param(["exact", "--alpha", "3", "--partition", "1,1",
+                          "--nu", "1e308,1e308"], id="exact-nu-1e308"),
+            pytest.param(["sample", "--alpha", "inf", "--count", "3",
+                          "--method", "bartlett"], id="sample-alpha-inf"),
+            pytest.param(["verify", "--alpha", "inf", "--partition", "1,1", "--nu", "1,1",
+                          "--mode", "embedded", "--samples", "100"], id="verify-alpha-inf"),
+            pytest.param(["gpi", "--kind", "gaussian", "--dims", "2", "--trials", "1",
+                          "--samples", "100", "--seed", "-1"], id="gpi-seed-negative"),
+            pytest.param(["gpi", "--kind", "gaussian", "--dims", "2", "--trials", "1",
+                          "--samples", "100", "--seed", str(2**64)], id="gpi-seed-2**64"),
+            pytest.param(["gpi", "--kind", "wishart", "--dims", "2", "--alpha-range", "1:inf",
+                          "--trials", "1", "--samples", "100"], id="gpi-alpha-range-inf"),
+        ],
+    )
+    def test_exits_domain_with_one_line(self, tmp_path, argv):
+        if argv[0] != "gpi":
+            argv = argv + ["--sigma", sigma_file(tmp_path, np.eye(2))]
+        if argv[0] == "sample":
+            argv = argv + ["--out", str(tmp_path / "draws.csv")]
+        proc = run_subprocess(*argv, "--workers", "1")
+        assert proc.returncode == EXIT_DOMAIN, proc.stderr
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("wishminors:"), proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_disjoint_blockdiag_singular_unit_blocks_match_verify(self, tmp_path, capsys):
+        path = sigma_file(tmp_path, np.diag([1.0, 2.0, 1.5, 1.0]))
+        moment = ["--alpha", "2", "--sigma", path, "--partition", "1,1,1,1", "--nu", "1,1,1,1"]
+        code, out, _ = run(capsys, "exact", *moment, "--disjoint-blockdiag")
+        assert code == EXIT_OK
+        exact = strict_json(out)
+        code, out, _ = run(
+            capsys, "verify", *moment, "--mode", "disjoint", "--samples", "1000"
+        )
+        assert code == EXIT_OK
+        assert exact["log_value"] == strict_json(out)["exact_log"]
+        # product of the diagonal means alpha * sigma_kk
+        assert exact["value_or_inf"] == pytest.approx(48.0, rel=1e-12)
+
+
 class TestRerunByteIdentity:
     def test_exact_verify_gpi_stdout(self, tmp_path, capsys):
         path = sigma_file(tmp_path, [[1.0, 0.25], [0.25, 2.0]])

@@ -82,7 +82,8 @@ class TestGpiRatio:
         res = gpi_ratio(inst, 5_000, seed=3)
         want = sum(
             single_minor_moment_log(
-                4.0, SpdMatrix.from_array(sigma[i : i + 1, i : i + 1]), v
+                WishartParams(alpha=4.0, sigma=SpdMatrix.from_array(sigma[i : i + 1, i : i + 1])),
+                v,
             )
             for i, v in enumerate(inst.nu)
         )

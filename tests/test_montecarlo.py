@@ -155,7 +155,7 @@ class TestEstimateEmbedded:
     def test_agreement_with_exact_general_sigma(self, rng):
         sigma = random_spd(rng, 4, cond=100.0)
         q = MomentQuery(partition=BlockPartition((2, 2)), nu=(0.75, 1.25))
-        exact = embedded_moment_log(5.5, SpdMatrix.from_array(sigma), q)
+        exact = embedded_moment_log(params_of(5.5, sigma), q)
         est = estimate_embedded(params_of(5.5, sigma), q, 300_000, seed=19)
         rep = compare(exact.log_value, est)
         assert rep.verdict is Verdict.CONSISTENT
@@ -172,7 +172,7 @@ class TestEstimateEmbedded:
         sigma = np.array([[2.0, 0.6], [0.6, 1.0]])
         pr = params_of(1.001, sigma)
         q = MomentQuery(partition=BlockPartition((1, 1)), nu=nu)
-        exact = embedded_moment_log(pr.alpha, pr.sigma, q).log_value
+        exact = embedded_moment_log(pr, q).log_value
         for seed in range(5):
             est = estimate_embedded(pr, q, 100_000, seed=seed)
             assert abs(compare(exact, est).z) <= 4.0
@@ -214,7 +214,7 @@ class TestEstimateDisjoint:
         sigma[:2, :2] = random_spd(rng, 2, cond=10.0)
         sigma[2:, 2:] = random_spd(rng, 2, cond=10.0)
         q = MomentQuery(partition=BlockPartition((2, 2)), nu=(1.0, 0.5))
-        exact = disjoint_moment_block_diag_log(5.0, SpdMatrix.from_array(sigma), q)
+        exact = disjoint_moment_block_diag_log(params_of(5.0, sigma), q)
         est = estimate_disjoint(params_of(5.0, sigma), q, 200_000, seed=29)
         assert compare(exact, est).verdict is Verdict.CONSISTENT
 
