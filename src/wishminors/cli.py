@@ -488,7 +488,8 @@ def build_parser() -> _Parser:
     )
     p_gpi.add_argument(
         "--rho-grid", default=None,
-        help="comma-separated correlations for a deterministic 2-d gaussian sweep",
+        help="comma-separated correlations for a deterministic 2-d gaussian sweep; "
+        "attach a grid that starts with '-' with '=', as in --rho-grid=-0.5,0.3",
     )
     p_gpi.add_argument("--trials", type=int, required=True)
     p_gpi.add_argument("--samples", type=int, required=True, help="draws per trial")

@@ -19,7 +19,7 @@ from .errors import DegenerateEstimate, DimensionMismatch, DomainError, Singular
 from .linalg import BlockPartition
 from .moments import MomentQuery
 from .streams import chunk_sizes, map_ordered, substreams  # noqa: F401 - bench/spans.py wraps them
-from .wishart import Regime, WishartParams, _bartlett_dofs, _bartlett_factors, map_chunks
+from .wishart import Regime, WishartParams, _bartlett_dofs, _factor_draw, map_chunks
 
 __all__ = [
     "McEstimate",
@@ -80,8 +80,8 @@ class McEstimate:
 
     @property
     def unreliable(self) -> bool:
-        # A single sample carrying the whole sum: max s > log(n * mean).
-        return self.max_log - (math.log(self.n) + self.mean_log) > 0.0
+        # The largest draw carries at least half the sum: exp(max s) >= n * mean / 2.
+        return self.max_log - (math.log(self.n) + self.mean_log) >= -math.log(2.0)
 
     @property
     def flags(self) -> tuple[str, ...]:
@@ -198,56 +198,25 @@ def estimate_embedded(
     return estimate_log_statistic(_embedded_stat_factory(params, query), n, seed, workers)
 
 
-def _disjoint_stat_bartlett(params: WishartParams, query: MomentQuery):
-    p = params.dim
-    dofs = _bartlett_dofs(params.alpha, p)
-    scale_chol = params.sigma.chol
-    part = query.partition
-    spans = [
-        (part.prefix[k], part.prefix[k + 1], query.nu[k])
-        for k in range(part.blocks)
-        if query.nu[k] != 0.0
-    ]
+def _disjoint_stat(params: WishartParams, query: MomentQuery):
+    # Block k of X = T T^T is the Gram matrix of the rows t[:, a:b] of T.
+    method = "bartlett" if params.regime is Regime.NONSINGULAR else "gaussian-sum"
+    draw = _factor_draw(params, method)
+    prefix = query.partition.prefix
+    spans = [(a, b, nu_k) for a, b, nu_k in zip(prefix, prefix[1:], query.nu) if nu_k != 0.0]
 
     def stat(rng: np.random.Generator, m: int) -> np.ndarray:
-        t = _bartlett_factors(rng, m, p, dofs, scale_chol)
+        t = draw(rng, m)
         s = np.zeros(m)
         for a, b, nu_k in spans:
+            rows = t[:, a:b]
             if b - a == 1:
-                diag_entry = np.einsum("mj,mj->m", t[:, a, : a + 1], t[:, a, : a + 1])
                 with np.errstate(divide="ignore"):  # an underflowed chi-square gives -inf
-                    s += nu_k * np.log(diag_entry)
+                    s += nu_k * np.log(np.einsum("mj,mj->m", rows[:, 0], rows[:, 0]))
             else:
-                rows = t[:, a:b, :b]
-                block = np.matmul(rows, rows.transpose(0, 2, 1))
-                block = 0.5 * (block + block.transpose(0, 2, 1))
-                try:
-                    low = np.linalg.cholesky(block)
-                except np.linalg.LinAlgError:
-                    # A chi-square that underflowed to 0 left some block singular.
-                    sign, logdet = np.linalg.slogdet(block)
-                    s += nu_k * np.where(sign > 0, logdet, -np.inf)
-                else:
-                    s += nu_k * 2.0 * np.sum(
-                        np.log(np.diagonal(low, axis1=1, axis2=2)), axis=1
-                    )
+                sign, logdet = np.linalg.slogdet(np.matmul(rows, rows.transpose(0, 2, 1)))
+                s += nu_k * np.where(sign > 0, logdet, -np.inf)
         return s
-
-    return stat
-
-
-def _disjoint_stat_gaussian_sum(params: WishartParams, query: MomentQuery):
-    p = params.dim
-    n_terms = int(params.alpha)
-    scale_chol_t = params.sigma.chol.T
-    nu_vec = np.asarray(query.nu, dtype=float)
-
-    def stat(rng: np.random.Generator, m: int) -> np.ndarray:
-        # One flat GEMM; a batched (m, n_terms, p) product is ~2x slower at n_terms=1.
-        g = rng.standard_normal((m * n_terms, p))
-        z = (g @ scale_chol_t).reshape(m, n_terms, p)
-        diag = np.einsum("mnp,mnp->mp", z, z)
-        return np.log(diag) @ nu_vec
 
     return stat
 
@@ -255,14 +224,15 @@ def _disjoint_stat_gaussian_sum(params: WishartParams, query: MomentQuery):
 def check_disjoint_shape(params: WishartParams, partition: BlockPartition) -> None:
     """Raise unless ``partition`` covers the scale and its disjoint minors are estimable.
 
-    Singular integer shapes admit only size-1 blocks: a rank-deficient
-    draw still has chi-square-like diagonal entries, but any larger block
-    has an almost-surely-zero minor.
+    A singular integer shape admits blocks of size at most alpha: block k
+    of a rank-alpha draw is Wishart(alpha, sigma_kk), nonsingular on those
+    blocks, while any block larger than alpha has an almost-surely-zero
+    minor.  This is the rule the per-block gamma ratio applies too.
     """
     partition.check_covers(params.dim)
-    if params.regime is not Regime.NONSINGULAR and any(s != 1 for s in partition.sizes):
+    if params.regime is Regime.SINGULAR_INTEGER and max(partition.sizes) > params.alpha:
         raise SingularRegime(
-            f"alpha={params.alpha} supports only size-1 blocks, "
+            f"alpha={params.alpha} supports only blocks of size <= alpha, "
             f"got sizes {partition.sizes}"
         )
 
@@ -272,17 +242,14 @@ def estimate_disjoint(
 ) -> McEstimate:
     """Estimate the joint moment of disjoint diagonal-block minors.
 
-    Nonsingular shapes sample via triangular factors and factor each
-    diagonal block per draw; singular integer shapes, which
-    ``check_disjoint_shape`` admits on unit blocks only, sample sums of
-    Gaussian outer products.
+    Each draw is X = T T^T with T from the Bartlett factor (nonsingular
+    shapes) or the Gaussian-sum factor (singular integer shapes).  A unit
+    block's minor is the squared norm of its row of T; a larger block's
+    log-minor is the ``slogdet`` of its rows' Gram matrix, and a draw whose
+    block is numerically singular gets ``-inf``.
     """
     check_disjoint_shape(params, query.partition)
-    if params.regime is Regime.NONSINGULAR:
-        stat = _disjoint_stat_bartlett(params, query)
-    else:
-        stat = _disjoint_stat_gaussian_sum(params, query)
-    return estimate_log_statistic(stat, n, seed, workers)
+    return estimate_log_statistic(_disjoint_stat(params, query), n, seed, workers)
 
 
 def compare(exact_log: float, mc: McEstimate) -> ComparisonReport:

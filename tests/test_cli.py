@@ -241,7 +241,7 @@ class TestVerify:
         assert "-inf" in err
 
     def test_disjoint_singular_block_draws_do_not_crash(self, tmp_path, capsys):
-        # Most draws have a singular 2x2 block, which Cholesky refuses.
+        # Most draws have a singular 2x2 block, whose log-determinant is -inf.
         path = sigma_file(tmp_path, np.diag([1.0, 2.0]))
         code, out, _ = run(
             capsys, "verify", "--alpha", "1.0000001", "--sigma", path,
@@ -285,6 +285,18 @@ class TestVerify:
         assert rec["exact_log"] is None and rec["verdict"] is None
         assert "block diagonal" in rec["note"]
         assert math.isfinite(rec["mean_log"])
+
+    def test_tail_dominated_estimate_is_flagged(self, tmp_path, capsys):
+        # Near alpha = p - 1 a few draws carry the whole estimate, so its
+        # batch-means error is unreliable and z = +12 is no evidence.
+        path = sigma_file(tmp_path, [[2.0, 0.6], [0.6, 1.0]])
+        code, out, _ = run(
+            capsys, "verify", "--alpha", "1.0000001", "--sigma", path,
+            "--partition", "1,1", "--nu", "0.5,0.5", "--mode", "embedded",
+            "--samples", "100000", "--seed", "0",
+        )
+        assert code == EXIT_INCONSISTENT
+        assert strict_json(out)["flags"] == ["unreliable"]
 
     def test_inconsistent_exit_code(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(
@@ -393,6 +405,20 @@ class TestGpi:
                 "first_pass_z", "flags",
             ]
 
+    def test_negative_rho_grid_needs_equals_form(self, tmp_path, capsys):
+        # A value that starts with "-" must be attached with "=", or the
+        # parser reads it as a flag.
+        dest = tmp_path / "trials.jsonl"
+        code, _, _ = run(
+            capsys, "gpi", "--kind", "gaussian", "--dims", "2",
+            "--trials", "2", "--samples", "2000", "--nu-grid", "1",
+            "--rho-grid=-0.5,0.3", "--seed", "21", "--out", str(dest),
+        )
+        assert code == EXIT_OK
+        lines = [json.loads(s) for s in dest.read_text().splitlines()]
+        assert lines[0]["config"]["rho_grid"] == [-0.5, 0.3]
+        assert sorted(row["corr"][0][1] for row in lines[1:]) == [-0.5, 0.3]
+
     def test_wishart_search_stdout(self, capsys):
         code, out, err = run(
             capsys, "gpi", "--kind", "wishart", "--dims", "1:2",
@@ -485,6 +511,24 @@ class TestOutOfRangeInputs:
         assert exact["log_value"] == strict_json(out)["exact_log"]
         # product of the diagonal means alpha * sigma_kk
         assert exact["value_or_inf"] == pytest.approx(48.0, rel=1e-12)
+
+    def test_disjoint_blockdiag_singular_blocks_up_to_alpha_match_verify(
+        self, tmp_path, capsys
+    ):
+        # alpha = 2 on 2x2 blocks: each block is a nonsingular Wishart(2, sigma_kk).
+        path = sigma_file(tmp_path, np.diag([1.0, 2.0, 1.5, 1.0]))
+        moment = ["--alpha", "2", "--sigma", path, "--partition", "2,2", "--nu", "1,0.5"]
+        code, out, _ = run(capsys, "exact", *moment, "--disjoint-blockdiag")
+        assert code == EXIT_OK
+        exact = strict_json(out)
+        code, out, _ = run_quietly(
+            capsys, "verify", *moment, "--mode", "disjoint",
+            "--samples", "100000", "--seed", "1",
+        )
+        assert code == EXIT_OK
+        rec = strict_json(out)
+        assert rec["exact_log"] == exact["log_value"]
+        assert rec["verdict"] == "consistent"
 
 
 class TestRerunByteIdentity:

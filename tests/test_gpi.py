@@ -61,8 +61,8 @@ class TestGaussianMoment:
 
 class TestInstances:
     def test_wishart_rejects_singular(self):
-        # A singular shape is admitted on unit blocks only: a size-2 block
-        # of a rank-1 draw has determinant zero almost surely.
+        # A singular shape is admitted on blocks of size at most alpha: a
+        # size-2 block of a rank-1 draw has determinant zero almost surely.
         with pytest.raises(SingularRegime):
             WishartGpiInstance(
                 params=WishartParams(alpha=1.0, sigma=SpdMatrix.from_array(np.eye(3))),

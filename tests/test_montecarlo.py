@@ -21,6 +21,8 @@ from wishminors import (
     estimate_disjoint,
     estimate_embedded,
     estimate_log_statistic,
+    sample_bartlett,
+    sample_gaussian_sum,
 )
 from wishminors.montecarlo import _embedded_stat_factory, _verdict_for
 from wishminors.streams import chunk_sizes
@@ -227,9 +229,29 @@ class TestEstimateDisjoint:
         assert abs(est.mean - 1.5) <= 4 * est.stderr
 
     def test_singular_large_block_refused(self):
-        q = MomentQuery(partition=BlockPartition((2, 1)), nu=(1.0, 1.0))
+        # A block larger than alpha has an almost-surely-zero minor.
+        q = MomentQuery(partition=BlockPartition((3, 1)), nu=(1.0, 1.0))
         with pytest.raises(SingularRegime):
-            estimate_disjoint(params_of(2.0, np.eye(3)), q, 100, seed=0)
+            estimate_disjoint(params_of(2.0, np.eye(4)), q, 100, seed=0)
+
+    @pytest.mark.parametrize(
+        "alpha, sampler, sizes",
+        [(4.5, sample_bartlett, (1, 2, 1)), (2.0, sample_gaussian_sum, (2, 1, 1))],
+    )
+    def test_draws_match_sampler(self, rng, alpha, sampler, sizes):
+        # The estimator's statistic is log prod det(X_kk)^nu_k of the sampler's draws.
+        pr = params_of(alpha, random_spd(rng, 4, cond=20.0))
+        part = BlockPartition(sizes)
+        q = MomentQuery(partition=part, nu=(1.0, 0.5, 1.5))
+        est = estimate_disjoint(pr, q, 3_000, seed=43)
+        draws = sampler(pr, 3_000, seed=43).draws
+        s = sum(
+            nu * np.linalg.slogdet(draws[:, a:b, a:b])[1]
+            for nu, a, b in zip(q.nu, part.prefix, part.prefix[1:])
+        )
+        top = np.max(s)
+        want = top + math.log(np.mean(np.exp(s - top)))
+        assert est.mean_log == pytest.approx(want, rel=1e-12)
 
     def test_merged_block_matches_embedded_tail(self, rng):
         # exponents supported on the last nested minor == single disjoint
@@ -341,3 +363,10 @@ class TestAdvisoryFlag:
         est = make_estimate(n=100, mean_log=0.0, max_log=2.0)
         assert not est.unreliable
         assert est.flags == ()
+
+    @pytest.mark.parametrize("scale, flags", [(40.0, ("unreliable",)), (1.0, ())])
+    def test_estimate_flags_tail_dominated_sum(self, scale, flags):
+        # At scale 40 one draw of exp(scale Z) over 6400 carries nearly all of
+        # the sum: max s sits just below log(n * mean) but above log(n * mean / 2).
+        est = estimate_log_statistic(lambda rng, m: scale * rng.standard_normal(m), 6400, 0)
+        assert est.flags == flags
