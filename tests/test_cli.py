@@ -8,12 +8,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from wishminors import SpdMatrix, Verdict, WishartParams, sample_bartlett
+from wishminors import SpdMatrix, Verdict, WishartParams, sample_bartlett, sample_gaussian_sum
 from wishminors.cli import (
     EXIT_DOMAIN,
     EXIT_INCONSISTENT,
     EXIT_OK,
     EXIT_PARSE,
+    build_parser,
     fmt_float,
     main,
     read_matrix_csv,
@@ -137,12 +138,11 @@ class TestExact:
 
     def test_bad_nu_exits_parse(self, tmp_path, capsys):
         path = sigma_file(tmp_path, [[1.0]])
-        code, _, err = run(
-            capsys, "exact", "--alpha", "3", "--sigma", path,
-            "--partition", "1", "--nu", "abc",
-        )
-        assert code == EXIT_PARSE
-        assert "--nu" in err
+        with pytest.raises(SystemExit) as info:
+            main(["exact", "--alpha", "3", "--sigma", path,
+                  "--partition", "1", "--nu", "abc"])
+        assert info.value.code == EXIT_PARSE
+        assert "--nu" in capsys.readouterr().err
 
     def test_unknown_flag_exits_parse(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -347,6 +347,28 @@ class TestSample:
         want = sample_bartlett(params, 3, 9, workers=1).draws
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize(
+        "method, alpha, sampler",
+        [("bartlett", 2.5, sample_bartlett), ("gaussian-sum", 3.0, sample_gaussian_sum)],
+    )
+    def test_draws_file_bytes(self, tmp_path, capsys, method, alpha, sampler):
+        sigma = np.array([[2.0, 0.5, 0.1], [0.5, 1.0, 0.0], [0.1, 0.0, 1.5]])
+        path = sigma_file(tmp_path, sigma)
+        dest = tmp_path / "draws.csv"
+        code, _, _ = run(
+            capsys, "sample", "--alpha", repr(alpha), "--sigma", path,
+            "--count", "70", "--method", method, "--seed", "4", "--out", str(dest),
+        )
+        assert code == EXIT_OK
+        params = WishartParams(alpha=alpha, sigma=SpdMatrix.from_array(sigma))
+        draws = sampler(params, 70, 4, workers=1).draws
+        want = "draw,i,j,value\n" + "".join(
+            f"{t},{r},{c},{fmt_float(draw[r, c])}\n"
+            for t, draw in enumerate(draws)
+            for r, c in zip(*np.triu_indices(3))
+        )
+        assert dest.read_text() == want
+
     def test_count_zero_writes_header_only(self, tmp_path, capsys):
         path = sigma_file(tmp_path, [[1.0]])
         dest = tmp_path / "draws.csv"
@@ -451,11 +473,53 @@ class TestGpi:
         assert "alpha range" in err
 
     def test_bad_dims_exits_parse(self, capsys):
-        code, _, err = run(
-            capsys, "gpi", "--kind", "gaussian", "--dims", "1:2:3",
-            "--trials", "1", "--samples", "100",
-        )
-        assert code == EXIT_PARSE
+        with pytest.raises(SystemExit) as info:
+            main(["gpi", "--kind", "gaussian", "--dims", "1:2:3",
+                  "--trials", "1", "--samples", "100"])
+        assert info.value.code == EXIT_PARSE
+        assert "--dims" in capsys.readouterr().err
+
+
+    def test_format_flag_exits_parse(self, capsys):
+        # gpi always writes JSON lines, so it takes no --format.
+        with pytest.raises(SystemExit) as info:
+            main(["gpi", "--kind", "gaussian", "--dims", "2", "--trials", "1",
+                  "--samples", "100", "--format", "csv"])
+        assert info.value.code == EXIT_PARSE
+        assert "--format" in capsys.readouterr().err
+
+
+class TestRecordConfig:
+    @pytest.mark.parametrize(
+        "argv, parsed",
+        [
+            (["exact", "--alpha", "3", "--partition", "1,1", "--nu", "1,0.5"],
+             {"partition": [1, 1], "nu": [1.0, 0.5], "disjoint_blockdiag": False}),
+            (["verify", "--alpha", "3", "--partition", "2", "--nu", "1",
+              "--mode", "embedded", "--samples", "200", "--format", "json"],
+             {"partition": [2], "nu": [1.0], "samples": 200, "mode": "embedded"}),
+            (["sample", "--alpha", "3", "--count", "2", "--method", "bartlett"],
+             {"count": 2, "method": "bartlett"}),
+            (["gpi", "--kind", "wishart", "--dims", "2", "--alpha-range", "1.5:4",
+              "--trials", "1", "--samples", "100"],
+             {"dims": [2, 2], "alpha_range": [1.5, 4.0],
+              "nu_grid": [0.5, 1.0, 1.5, 2.0, 3.0], "rho_grid": None}),
+        ],
+        ids=["exact", "verify", "sample", "gpi"],
+    )
+    def test_config_is_the_parsed_namespace(self, tmp_path, capsys, argv, parsed):
+        if argv[0] != "gpi":
+            argv = argv + ["--sigma", sigma_file(tmp_path, np.eye(2))]
+        if argv[0] == "sample":
+            argv = argv + ["--out", str(tmp_path / "draws.csv")]
+        argv = argv + ["--seed", "5", "--workers", "1"]
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        config = strict_json(out.splitlines()[0] if argv[0] == "gpi" else out)["config"]
+        dests = [k for k in vars(build_parser().parse_args(argv)) if k != "func"]
+        assert list(config) == dests
+        assert config["command"] == argv[0] and config["seed"] == 5
+        assert {k: config[k] for k in parsed} == parsed
 
 
 def run_subprocess(*argv):
