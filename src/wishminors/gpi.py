@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DimensionMismatch, DomainError, NotPositiveDefinite
 from .linalg import BlockPartition, SpdMatrix, cholesky
@@ -112,7 +111,10 @@ def gaussian_moment_log(nu: float, variance: float = 1.0) -> float:
         raise DomainError(f"exponent must be finite and >= 0, got {nu}")
     if not variance > 0:
         raise DomainError(f"variance must be positive, got {variance}")
-    return nu * math.log(2.0 * variance) + float(gammaln(nu + 0.5) - gammaln(0.5))
+    try:
+        return nu * math.log(2.0 * variance) + math.lgamma(nu + 0.5) - math.lgamma(0.5)
+    except OverflowError:
+        return math.inf
 
 
 def gpi_ratio(instance, n: int, seed: int, workers: int = 1) -> GpiResult:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
+import scipy  # scipy.linalg loads on first attribute access
 
 from .errors import DimensionMismatch, NotPositiveDefinite
 
@@ -172,6 +172,6 @@ def schur_complement(m, k: int) -> np.ndarray:
     if not 1 <= k < n:
         raise DimensionMismatch(f"block size k={k} must satisfy 1 <= k < {n}")
     low = cholesky(np.ascontiguousarray(a[:k, :k]))
-    w = solve_triangular(low, a[:k, k:], lower=True)
+    w = scipy.linalg.solve_triangular(low, a[:k, k:], lower=True)
     s = a[k:, k:] - w.T @ w
     return 0.5 * (s + s.T)

@@ -204,16 +204,22 @@ def _disjoint_stat(params: WishartParams, query: MomentQuery):
     draw = _factor_draw(params, method)
     prefix = query.partition.prefix
     spans = [(a, b, nu_k) for a, b, nu_k in zip(prefix, prefix[1:], query.nu) if nu_k != 0.0]
+    # The unit blocks' log-minors come from one einsum and one log per chunk.
+    # The einsum runs on T itself: a gathered copy would sum each row in a
+    # different order.
+    unit = [a for a, b, _ in spans if b - a == 1]
 
     def stat(rng: np.random.Generator, m: int) -> np.ndarray:
         t = draw(rng, m)
+        if unit:
+            with np.errstate(divide="ignore"):  # an underflowed chi-square gives -inf
+                unit_logs = iter(np.log(np.einsum("mij,mij->im", t, t)[unit]))
         s = np.zeros(m)
         for a, b, nu_k in spans:
-            rows = t[:, a:b]
             if b - a == 1:
-                with np.errstate(divide="ignore"):  # an underflowed chi-square gives -inf
-                    s += nu_k * np.log(np.einsum("mj,mj->m", rows[:, 0], rows[:, 0]))
+                s += nu_k * next(unit_logs)
             else:
+                rows = t[:, a:b]
                 sign, logdet = np.linalg.slogdet(np.matmul(rows, rows.transpose(0, 2, 1)))
                 s += nu_k * np.where(sign > 0, logdet, -np.inf)
         return s

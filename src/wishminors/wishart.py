@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
+import scipy  # scipy.linalg loads on first attribute access
 
 from .errors import DimensionMismatch, DomainError, NonIntegerAlpha, SingularRegime
 from .linalg import SpdMatrix
@@ -118,7 +118,7 @@ def log_density(params: WishartParams, x) -> float:
     if x.dim != p:
         raise DimensionMismatch(f"point has dim {x.dim}, scale has dim {p}")
     half_alpha = params.alpha / 2.0
-    y = solve_triangular(params.sigma.chol, x.chol, lower=True)
+    y = scipy.linalg.solve_triangular(params.sigma.chol, x.chol, lower=True)
     trace = float(np.sum(y * y))
     return (
         (half_alpha - (p + 1) / 2.0) * x.logdet

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -8,6 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import wishminors
 from wishminors import SpdMatrix, Verdict, WishartParams, sample_bartlett, sample_gaussian_sum
 from wishminors.cli import (
     EXIT_DOMAIN,
@@ -534,8 +536,6 @@ class TestOutOfRangeInputs:
         [
             pytest.param(["exact", "--alpha", "inf", "--partition", "1,1", "--nu", "1,1"],
                          id="exact-alpha-inf"),
-            pytest.param(["exact", "--alpha", "1e306", "--partition", "1,1", "--nu", "1,1"],
-                         id="exact-alpha-1e306"),
             pytest.param(["exact", "--alpha", "3", "--partition", "1,1",
                           "--nu", "1e308,1e308"], id="exact-nu-1e308"),
             pytest.param(["sample", "--alpha", "inf", "--count", "3",
@@ -561,6 +561,27 @@ class TestOutOfRangeInputs:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("wishminors:"), proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "alpha, partition, nu, want_logs",
+        [
+            # E[X] = alpha for X ~ chi2(alpha); a plain lgamma difference cancels to log 2 here.
+            pytest.param(1e300, "1", "1", [math.log(1e300)], id="exact-alpha-1e300"),
+            # I_2, nu (1, 1): 2^3 (a/2)(a/2 + 1)(a/2 - 1/2); each lgamma alone overflows.
+            pytest.param(1e306, "1,1", "1,1",
+                         [3 * math.log(2.0), math.log(5e305), math.log(5e305 + 1),
+                          math.log(5e305 - 0.5)], id="exact-alpha-1e306"),
+        ],
+    )
+    def test_large_alpha_gives_finite_value(self, tmp_path, capsys, alpha, partition, nu,
+                                            want_logs):
+        dim = len(partition.split(","))
+        code, out, _ = run(
+            capsys, "exact", "--alpha", repr(alpha), "--sigma", sigma_file(tmp_path, np.eye(dim)),
+            "--partition", partition, "--nu", nu,
+        )
+        assert code == EXIT_OK
+        assert strict_json(out)["log_value"] == pytest.approx(math.fsum(want_logs), rel=1e-14)
 
     def test_disjoint_blockdiag_singular_unit_blocks_match_verify(self, tmp_path, capsys):
         path = sigma_file(tmp_path, np.diag([1.0, 2.0, 1.5, 1.0]))
@@ -660,3 +681,43 @@ class TestEntrypoint:
             capture_output=True, text=True,
         )
         assert proc.returncode == EXIT_PARSE
+
+
+# Runs in a fresh interpreter: which scipy modules the CLI import loads, then
+# the two scipy.linalg callers' values as float hex.
+_FOOTPRINT_SCRIPT = """
+import json, sys
+import numpy as np
+import wishminors.cli
+loaded = [m for m in ("scipy", "scipy.special", "scipy.linalg") if m in sys.modules]
+from wishminors import SpdMatrix, WishartParams, log_density, schur_complement
+sig = np.array([[2.0, 0.3, 0.1], [0.3, 1.0, -0.2], [0.1, -0.2, 1.5]])
+x = np.array([[1.5, 0.2, 0.0], [0.2, 0.9, 0.1], [0.0, 0.1, 2.5]])
+values = {
+    "schur": [v.hex() for v in schur_complement(sig, 1).ravel()],
+    "log_density": log_density(WishartParams(7.3, SpdMatrix.from_array(sig)), x).hex(),
+}
+print(json.dumps({"loaded": loaded, "values": values}))
+"""
+
+
+class TestImportFootprint:
+    def test_cli_import_loads_no_scipy_submodule(self):
+        src = os.path.dirname(os.path.dirname(wishminors.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", _FOOTPRINT_SCRIPT], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        rec = json.loads(proc.stdout)
+        # bench/child.py reads sys.modules["scipy"].__version__, so the top level stays.
+        assert rec["loaded"] == ["scipy"]
+        # Values from the eager `from scipy.linalg import solve_triangular` import.
+        assert rec["values"]["schur"] == [
+            "0x1.e8f5c28f5c290p-1", "-0x1.b851eb851eb85p-3",
+            "-0x1.b851eb851eb85p-3", "0x1.7eb851eb851ecp+0",
+        ]
+        # log Gamma_p now sums math.lgamma, which may differ from scipy's gammaln
+        # in the last bit; the triangular solve itself is unchanged.
+        want = float.fromhex("-0x1.ecb64dfa3fe9ep+3")
+        assert float.fromhex(rec["values"]["log_density"]) == pytest.approx(want, rel=4e-16)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import wishminors.montecarlo
 from wishminors import (
     BlockPartition,
     DegenerateEstimate,
@@ -21,10 +22,13 @@ from wishminors import (
     estimate_disjoint,
     estimate_embedded,
     estimate_log_statistic,
+    gpi_ratio,
     sample_bartlett,
     sample_gaussian_sum,
 )
+from wishminors.gpi import WishartGpiInstance
 from wishminors.montecarlo import _embedded_stat_factory, _verdict_for
+from wishminors.wishart import Regime, _factor_draw
 from wishminors.streams import chunk_sizes
 from conftest import WORKER_COUNTS, random_spd, serial_chunks_above
 
@@ -274,6 +278,59 @@ class TestEstimateDisjoint:
         got = estimate_disjoint(pr, q, 1_000, seed=41, workers=workers)
         assert got.worker_count == workers
         assert dataclasses.replace(got, worker_count=1) == want
+
+
+def per_block_disjoint_stat(params, query):
+    """The disjoint statistic with one einsum and one log per unit block."""
+    method = "bartlett" if params.regime is Regime.NONSINGULAR else "gaussian-sum"
+    draw = _factor_draw(params, method)
+    prefix = query.partition.prefix
+
+    def stat(rng, m):
+        t = draw(rng, m)
+        s = np.zeros(m)
+        for a, b, nu_k in zip(prefix, prefix[1:], query.nu):
+            if nu_k == 0.0:
+                continue
+            rows = t[:, a:b]
+            if b - a == 1:
+                with np.errstate(divide="ignore"):
+                    s += nu_k * np.log(np.einsum("mj,mj->m", rows[:, 0], rows[:, 0]))
+            else:
+                sign, logdet = np.linalg.slogdet(np.matmul(rows, rows.transpose(0, 2, 1)))
+                s += nu_k * np.where(sign > 0, logdet, -np.inf)
+        return s
+
+    return stat
+
+
+class TestUnitBlockBatching:
+    """All unit blocks share one einsum and one log, with the per-block values bit for bit."""
+
+    @pytest.mark.parametrize(
+        "alpha, sizes, nu",
+        [
+            pytest.param(4.5, (1, 1, 1), (1.0, 0.5, 1.5), id="unit-bartlett"),
+            pytest.param(5.0, (1, 2, 1, 1), (0.5, 1.0, 0.0, 1.5), id="mixed-bartlett"),
+            pytest.param(1.0, (1, 1, 1), (1.0, 1.0, 0.5), id="gaussian"),
+            pytest.param(3.0, (1, 2, 1, 1), (1.0, 0.5, 1.5, 1.0), id="mixed-gaussian-sum"),
+        ],
+    )
+    def test_matches_per_block_reference(self, rng, monkeypatch, alpha, sizes, nu):
+        sigma = random_spd(rng, sum(sizes), cond=20.0)
+        instance = WishartGpiInstance(
+            params=params_of(alpha, sigma), partition=BlockPartition(sizes), nu=nu
+        )
+        query = MomentQuery(partition=instance.partition, nu=instance.nu)
+
+        def run():
+            est = estimate_disjoint(instance.params, query, 3_000, seed=47)
+            gpi = gpi_ratio(instance, 3_000, seed=47)
+            return est, (gpi.numerator, gpi.ratio_log, gpi.ratio_stderr, gpi.violation_z)
+
+        got = run()
+        monkeypatch.setattr(wishminors.montecarlo, "_disjoint_stat", per_block_disjoint_stat)
+        assert got == run()
 
 
 class TestCompare:

@@ -5,6 +5,7 @@ import pytest
 from scipy.special import gammaln
 
 from wishminors import DomainError, log_multigamma, log_multigamma_ratio
+from wishminors.specfun import _lgamma_diff
 
 LOG_PI = math.log(math.pi)
 
@@ -102,3 +103,44 @@ class TestLogMultigammaRatio:
             log_multigamma_ratio(2, 0.5, 1.0)
         with pytest.raises(DomainError):
             log_multigamma_ratio(1, 1.0, -0.5)
+
+
+class TestLgammaDiff:
+    """lgamma(x + s) - lgamma(x) keeps full relative precision at any x."""
+
+    def test_unit_shift_is_log_beta_at_any_alpha(self):
+        # Gamma(b + 1) / Gamma(b) = b, so the chi2(alpha) mean has log alpha/2 here.
+        for alpha in np.geomspace(10.0, 1e300, 60):
+            got = log_multigamma_ratio(1, alpha / 2, 1.0)
+            assert got == pytest.approx(math.log(alpha / 2), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "xs",
+        [np.linspace(11.5, 12.5, 21), np.geomspace(1e3, 1e16, 14)],
+        ids=["across-branch-point", "large-x"],
+    )
+    def test_integer_shift_is_pochhammer_sum(self, xs):
+        # lgamma(x + n) - lgamma(x) = sum_k log(x + k): no lgamma in the oracle.
+        for x in xs:
+            for n in (1, 2, 3, 7, 20):
+                want = math.fsum(math.log(x + k) for k in range(n))
+                assert _lgamma_diff(float(x), float(n)) == pytest.approx(want, rel=4e-15)
+
+    def test_multigamma_integer_shift_is_pochhammer_sum(self):
+        for p in (2, 3, 5):
+            for beta in (11.75, 12.25, 1e4, 1e15):
+                want = math.fsum(math.log(beta + k - j / 2) for j in range(p) for k in range(4))
+                assert log_multigamma_ratio(p, beta, 4.0) == pytest.approx(want, rel=4e-15)
+
+    def test_matches_50_digit_reference(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            for x in (3.5, 7.25, 11.75, 12.0, 12.25, 40.0, 1e3, 1e8, 1e16):
+                for s in (0.5, 1.5, 3.7, 100.0, 1e6):
+                    want = mpmath.loggamma(mpmath.mpf(x) + s) - mpmath.loggamma(x)
+                    assert _lgamma_diff(x, s) == pytest.approx(float(want), rel=4e-15)
+
+    def test_overflow_is_inf(self):
+        assert _lgamma_diff(1.5, 1e308) == math.inf
+        assert _lgamma_diff(20.0, 1e308) == math.inf
+        assert _lgamma_diff(20.0, math.inf) == math.inf
