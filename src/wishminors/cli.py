@@ -254,8 +254,6 @@ def cmd_verify(args) -> int:
         z=z,
         verdict=verdict,
         flags=list(mc.flags),
-        seed=mc.seed,
-        worker_count=mc.worker_count,
     )
     if note is not None:
         record["note"] = note

@@ -13,22 +13,15 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, NotPositiveDefinite
 from .linalg import BlockPartition, SpdMatrix, cholesky
-from .moments import MomentQuery, block_moments_log
+from .moments import MomentQuery, admit_disjoint, block_moments_log
 from .moments import single_minor_moment_log  # noqa: F401 - bench/spans.py wraps it
-from .montecarlo import (
-    McEstimate,
-    Verdict,
-    check_disjoint_shape,
-    compare,
-    estimate_disjoint,
-    exp_or_inf,
-)
+from .montecarlo import McEstimate, Verdict, compare, estimate_disjoint, exp_or_inf
 from .montecarlo import estimate_log_statistic  # noqa: F401 - bench/spans.py wraps it
 from .streams import check_seed, map_ordered
 from .wishart import WishartParams
@@ -52,7 +45,7 @@ _ESCALATION_FACTOR = 10
 
 @dataclass(frozen=True, eq=False)
 class WishartGpiInstance:
-    """Disjoint-minor instance; ``check_disjoint_shape`` admits its shape and blocks.
+    """Disjoint-minor instance; ``admit_disjoint`` admits its ``query``.
 
     The scalar Gaussian instance Z ~ N(0, R) is alpha = 1, scale R, unit blocks.
     """
@@ -60,12 +53,13 @@ class WishartGpiInstance:
     params: WishartParams
     partition: BlockPartition
     nu: tuple[float, ...]
+    query: MomentQuery = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "nu", tuple(float(v) for v in self.nu))
-        # Reuse the query validation (lengths, nonnegativity).
-        MomentQuery(partition=self.partition, nu=self.nu)
-        check_disjoint_shape(self.params, self.partition)
+        query = MomentQuery(partition=self.partition, nu=self.nu)
+        admit_disjoint(self.params, query)
+        object.__setattr__(self, "nu", query.nu)
+        object.__setattr__(self, "query", query)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,9 +118,8 @@ def gpi_ratio(instance, n: int, seed: int, workers: int = 1) -> GpiResult:
     per-block marginal moments (never estimated), so the ratio's standard
     error is entirely the numerator's.
     """
-    query = MomentQuery(partition=instance.partition, nu=instance.nu)
-    den = block_moments_log(instance.params, query).log_value
-    num = estimate_disjoint(instance.params, query, n, seed, workers)
+    den = block_moments_log(instance.params, instance.query).log_value
+    num = estimate_disjoint(instance.params, instance.query, n, seed, workers)
     report = compare(den, num)
     ratio_log = num.mean_log - den
     return GpiResult(

@@ -22,17 +22,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, NotBlockDiagonal
+from .errors import DimensionMismatch, DomainError, NotBlockDiagonal, SingularRegime
 from .linalg import BlockPartition, SpdMatrix, leading_logdets
 from .specfun import log_multigamma_ratio
-from .wishart import WishartParams
+from .wishart import Regime, WishartParams
 
 __all__ = [
     "MomentQuery",
     "MomentFactor",
     "ExactMoment",
     "single_minor_moment_log",
+    "admit_embedded",
     "embedded_moment_log",
+    "admit_disjoint",
     "block_moments_log",
     "check_block_diagonal",
     "disjoint_moment_block_diag_log",
@@ -108,15 +110,24 @@ def single_minor_moment_log(params: WishartParams, nu: float) -> float:
     return embedded_moment_log(params, query).log_value
 
 
+def admit_embedded(params: WishartParams, query: MomentQuery) -> None:
+    """Raise unless the nested-minor moment of ``query`` exists for ``params``.
+
+    It needs the nonsingular regime, which also keeps every gamma base
+    above its pole since V_i >= 0, and a partition that covers the scale.
+    """
+    params.require_nonsingular("the nested-minor moment")
+    query.partition.check_covers(params.dim)
+
+
 def embedded_moment_log(params: WishartParams, query: MomentQuery) -> ExactMoment:
     """Exact joint moment of the nested leading-block minors, in log space.
 
     Block i multiplies in ``nu_i * log det(2 sigma[1:P_i, 1:P_i])`` and the
     order-p_i gamma ratio at base ``alpha/2 - P_{i-1}/2`` with shift V_i.
-    Requires the nonsingular regime, which also keeps every gamma base
-    above its pole since V_i >= 0.
+    ``admit_embedded`` decides the inputs it accepts.
     """
-    params.require_nonsingular("the nested-minor moment")
+    admit_embedded(params, query)
     part = query.partition
     logdets = leading_logdets(params.sigma, part)
     half_alpha = params.alpha / 2.0
@@ -130,17 +141,35 @@ def embedded_moment_log(params: WishartParams, query: MomentQuery) -> ExactMomen
     )
 
 
+def admit_disjoint(params: WishartParams, query: MomentQuery) -> None:
+    """Raise unless the disjoint-block minors of ``query`` have moments under ``params``.
+
+    The partition must cover the scale.  A singular integer shape admits
+    blocks of size at most alpha, the gamma ratio's pole condition
+    alpha > p_k - 1: block k of a rank-alpha draw is Wishart(alpha, sigma_kk),
+    while a larger block has an almost-surely-zero minor and raises
+    SingularRegime.
+    """
+    part = query.partition
+    part.check_covers(params.dim)
+    if params.regime is Regime.SINGULAR_INTEGER and max(part.sizes) > params.alpha:
+        raise SingularRegime(
+            f"alpha={params.alpha} supports only blocks of size <= alpha, "
+            f"got sizes {part.sizes}"
+        )
+
+
 def block_moments_log(params: WishartParams, query: MomentQuery) -> ExactMoment:
     """Product of the per-block marginal moments E[det(X_kk)^nu_k], in log space.
 
     X_kk ~ Wishart(alpha, sigma_kk) for any sigma, so block k contributes
     ``nu_k * (p_k log 2 + log det sigma_kk)`` and the order-p_k gamma ratio
-    at base alpha/2 with shift nu_k; it needs only alpha > p_k - 1, which
-    the gamma ratio checks.  The product is the joint moment when sigma is
-    block diagonal.
+    at base alpha/2 with shift nu_k; ``admit_disjoint`` decides the inputs
+    it accepts.  The product is the joint moment when sigma is block
+    diagonal.
     """
+    admit_disjoint(params, query)
     part = query.partition
-    part.check_covers(params.dim)
     entries = params.sigma.entries
     return _sum_factors(
         MomentFactor(

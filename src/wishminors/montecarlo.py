@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateEstimate, DimensionMismatch, DomainError, SingularRegime
-from .linalg import BlockPartition
-from .moments import MomentQuery
+from .errors import DegenerateEstimate, DimensionMismatch, DomainError
+from .moments import MomentQuery, admit_disjoint, admit_embedded
 from .streams import chunk_sizes, map_ordered, substreams  # noqa: F401 - bench/spans.py wraps them
 from .wishart import Regime, WishartParams, _bartlett_dofs, _factor_draw, map_chunks
 
@@ -27,7 +26,6 @@ __all__ = [
     "ComparisonReport",
     "estimate_log_statistic",
     "estimate_embedded",
-    "check_disjoint_shape",
     "estimate_disjoint",
     "compare",
     "exp_or_inf",
@@ -54,25 +52,26 @@ class Verdict(enum.Enum):
 
 @dataclass(frozen=True)
 class McEstimate:
-    """A moment estimate with log-scale internals kept alongside.
+    """A moment estimate from ``n`` draws, kept in log space.
 
-    ``mean`` and ``stderr`` are ``exp`` of their log counterparts and may
-    overflow to ``inf``; the log fields are always finite (``stderr_log``
-    is ``-inf`` exactly when the statistic was constant).  ``log_shift``
-    is the stabilization offset used during the merge, ``min_log`` /
-    ``max_log`` are the extremes of the per-sample log statistic.
+    The log fields are always finite, except that ``stderr_log`` is ``-inf``
+    exactly when the statistic was constant.  ``max_log`` is the largest
+    per-sample log statistic.  ``mean`` and ``stderr`` are ``exp`` of their
+    log counterparts and may overflow to ``inf``.
     """
 
     n: int
-    mean: float
-    stderr: float
     mean_log: float
     stderr_log: float
-    log_shift: float
-    min_log: float
     max_log: float
-    seed: int
-    worker_count: int
+
+    @property
+    def mean(self) -> float:
+        return exp_or_inf(self.mean_log)
+
+    @property
+    def stderr(self) -> float:
+        return exp_or_inf(self.stderr_log)
 
     @property
     def rel_stderr(self) -> float:
@@ -90,8 +89,6 @@ class McEstimate:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    exact_log: float
-    mc: McEstimate
     z: float
     verdict: Verdict
 
@@ -126,15 +123,14 @@ def estimate_log_statistic(stat_fn, n: int, seed: int, workers: int = 1) -> McEs
         if not top < math.inf:
             raise DegenerateEstimate(f"statistic drew a non-finite value {top}")
         if top == -math.inf:
-            return -math.inf, m, top, top
+            return -math.inf, m, top
         log_mean = top + math.log(float(np.sum(np.exp(s - top)))) - math.log(m)
-        return log_mean, m, top, float(np.min(s))
+        return log_mean, m, top
 
-    log_means, sizes, tops, lows = zip(*map_chunks(run, n, seed, workers))
+    log_means, sizes, tops = zip(*map_chunks(run, n, seed, workers))
     chunk_log_means = np.array(log_means)
     n_chunks = len(sizes)
     max_log = max(tops)
-    min_log = min(lows)
     if max_log == -math.inf:
         raise DegenerateEstimate(f"all {n} draws of the log statistic are -inf")
 
@@ -147,18 +143,7 @@ def estimate_log_statistic(stat_fn, n: int, seed: int, workers: int = 1) -> McEs
         stderr_log = shift + math.log(spread) - 0.5 * math.log(n_chunks)
     else:
         stderr_log = -math.inf
-    return McEstimate(
-        n=n,
-        mean=exp_or_inf(mean_log),
-        stderr=exp_or_inf(stderr_log),
-        mean_log=mean_log,
-        stderr_log=stderr_log,
-        log_shift=shift,
-        min_log=min_log,
-        max_log=max_log,
-        seed=int(seed),
-        worker_count=int(workers),
-    )
+    return McEstimate(n=n, mean_log=mean_log, stderr_log=stderr_log, max_log=max_log)
 
 
 def _embedded_stat_factory(params: WishartParams, query: MomentQuery):
@@ -193,8 +178,7 @@ def estimate_embedded(
     is the product of the first P_i squared diagonal entries of T = L A,
     so a draw needs only the p Bartlett chi-squares, taken in log space.
     """
-    params.require_nonsingular("embedded-minor estimation")
-    query.partition.check_covers(params.dim)
+    admit_embedded(params, query)
     return estimate_log_statistic(_embedded_stat_factory(params, query), n, seed, workers)
 
 
@@ -227,22 +211,6 @@ def _disjoint_stat(params: WishartParams, query: MomentQuery):
     return stat
 
 
-def check_disjoint_shape(params: WishartParams, partition: BlockPartition) -> None:
-    """Raise unless ``partition`` covers the scale and its disjoint minors are estimable.
-
-    A singular integer shape admits blocks of size at most alpha: block k
-    of a rank-alpha draw is Wishart(alpha, sigma_kk), nonsingular on those
-    blocks, while any block larger than alpha has an almost-surely-zero
-    minor.  This is the rule the per-block gamma ratio applies too.
-    """
-    partition.check_covers(params.dim)
-    if params.regime is Regime.SINGULAR_INTEGER and max(partition.sizes) > params.alpha:
-        raise SingularRegime(
-            f"alpha={params.alpha} supports only blocks of size <= alpha, "
-            f"got sizes {partition.sizes}"
-        )
-
-
 def estimate_disjoint(
     params: WishartParams, query: MomentQuery, n: int, seed: int, workers: int = 1
 ) -> McEstimate:
@@ -254,7 +222,7 @@ def estimate_disjoint(
     log-minor is the ``slogdet`` of its rows' Gram matrix, and a draw whose
     block is numerically singular gets ``-inf``.
     """
-    check_disjoint_shape(params, query.partition)
+    admit_disjoint(params, query)
     return estimate_log_statistic(_disjoint_stat(params, query), n, seed, workers)
 
 
@@ -277,4 +245,4 @@ def compare(exact_log: float, mc: McEstimate) -> ComparisonReport:
         z = 0.0
     else:
         z = math.expm1(mc.mean_log - exact_log) / mc.rel_stderr
-    return ComparisonReport(exact_log=exact_log, mc=mc, z=z, verdict=_verdict_for(z))
+    return ComparisonReport(z=z, verdict=_verdict_for(z))

@@ -188,9 +188,8 @@ class TestVerify:
         assert rec["verdict"] == "consistent"
         assert abs(rec["z"]) <= 4
         assert {"tool", "config", "exact_log", "n", "mean_log", "mean",
-                "stderr", "z", "verdict", "flags", "seed",
-                "worker_count"} <= rec.keys()
-        assert rec["n"] == 20000 and rec["seed"] == 11
+                "stderr", "z", "verdict", "flags"} <= rec.keys()
+        assert rec["n"] == 20000 and rec["config"]["seed"] == 11
 
     def test_zero_exponents_give_exact_zero_z(self, tmp_path, capsys):
         path = sigma_file(tmp_path, np.eye(2))
@@ -524,9 +523,12 @@ class TestRecordConfig:
         assert {k: config[k] for k in parsed} == parsed
 
 
-def run_subprocess(*argv):
+def run_subprocess(*args):
+    """``python *args`` in a fresh interpreter that imports this checkout's package."""
+    src = os.path.dirname(os.path.dirname(wishminors.__file__))
     return subprocess.run(
-        [sys.executable, "-m", "wishminors.cli", *argv], capture_output=True, text=True
+        [sys.executable, *args], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
     )
 
 
@@ -555,7 +557,7 @@ class TestOutOfRangeInputs:
             argv = argv + ["--sigma", sigma_file(tmp_path, np.eye(2))]
         if argv[0] == "sample":
             argv = argv + ["--out", str(tmp_path / "draws.csv")]
-        proc = run_subprocess(*argv, "--workers", "1")
+        proc = run_subprocess("-m", "wishminors.cli", *argv, "--workers", "1")
         assert proc.returncode == EXIT_DOMAIN, proc.stderr
         assert proc.stdout == ""
         lines = proc.stderr.splitlines()
@@ -615,6 +617,19 @@ class TestOutOfRangeInputs:
         assert rec["exact_log"] == exact["log_value"]
         assert rec["verdict"] == "consistent"
 
+    def test_disjoint_blockdiag_refuses_block_above_singular_alpha_like_verify(
+        self, tmp_path, capsys
+    ):
+        # alpha = 2 on a 3x3 block: the block's minor is zero almost surely.
+        path = sigma_file(tmp_path, np.eye(4))
+        moment = ["--alpha", "2", "--sigma", path, "--partition", "3,1", "--nu", "1,1"]
+        exact = run(capsys, "exact", *moment, "--disjoint-blockdiag")
+        verify = run(capsys, "verify", *moment, "--mode", "disjoint", "--samples", "100")
+        for code, out, err in (exact, verify):
+            assert (code, out) == (EXIT_DOMAIN, "")
+            assert err.count("\n") == 1 and "supports only blocks of size <= alpha" in err
+        assert exact[2] == verify[2]
+
 
 class TestRerunByteIdentity:
     def test_exact_verify_gpi_stdout(self, tmp_path, capsys):
@@ -667,19 +682,15 @@ class TestRerunByteIdentity:
 class TestEntrypoint:
     def test_module_execution(self, tmp_path):
         path = sigma_file(tmp_path, [[1.0]])
-        proc = subprocess.run(
-            [sys.executable, "-m", "wishminors.cli", "exact", "--alpha", "2",
-             "--sigma", path, "--partition", "1", "--nu", "1"],
-            capture_output=True, text=True,
+        proc = run_subprocess(
+            "-m", "wishminors.cli", "exact", "--alpha", "2",
+            "--sigma", path, "--partition", "1", "--nu", "1",
         )
         assert proc.returncode == EXIT_OK
         assert json.loads(proc.stdout)["value_or_inf"] == pytest.approx(2.0)
 
     def test_missing_subcommand_exits_parse(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "wishminors.cli"],
-            capture_output=True, text=True,
-        )
+        proc = run_subprocess("-m", "wishminors.cli")
         assert proc.returncode == EXIT_PARSE
 
 
@@ -703,11 +714,7 @@ print(json.dumps({"loaded": loaded, "values": values}))
 
 class TestImportFootprint:
     def test_cli_import_loads_no_scipy_submodule(self):
-        src = os.path.dirname(os.path.dirname(wishminors.__file__))
-        proc = subprocess.run(
-            [sys.executable, "-c", _FOOTPRINT_SCRIPT], capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": src},
-        )
+        proc = run_subprocess("-c", _FOOTPRINT_SCRIPT)
         assert proc.returncode == 0, proc.stderr
         rec = json.loads(proc.stdout)
         # bench/child.py reads sys.modules["scipy"].__version__, so the top level stays.

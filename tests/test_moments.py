@@ -10,6 +10,7 @@ from wishminors import (
     DomainError,
     MomentQuery,
     NotBlockDiagonal,
+    SingularRegime,
     SpdMatrix,
     WishartParams,
     block_moments_log,
@@ -212,7 +213,7 @@ class TestBlockMoments:
                 want = single_minor_moment_log(params(alpha, spd(sigma[a:b, a:b])), q.nu[k])
                 assert f.det_term + f.gamma_term == pytest.approx(want, abs=1e-12)
             assert got.log_value == sum(f.det_term + f.gamma_term for f in got.factors)
-        with pytest.raises(DomainError):
+        with pytest.raises(SingularRegime, match="blocks of size <= alpha"):
             block_moments_log(params(1.0, spd(sigma)), q)
         with pytest.raises(DimensionMismatch):
             block_moments_log(params(5.5, spd(sigma[:3, :3])), q)
