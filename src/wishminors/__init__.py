@@ -16,106 +16,25 @@ E[prod det(X_ii)^nu_i] >= prod E[det(X_ii)^nu_i].
 
 __version__ = "0.1.0"
 
-from .errors import (
-    DegenerateEstimate,
-    DimensionMismatch,
-    DomainError,
-    NonIntegerAlpha,
-    NotBlockDiagonal,
-    NotPositiveDefinite,
-    SingularRegime,
-    WishminorsError,
-)
-from .linalg import (
-    BlockPartition,
-    SpdMatrix,
-    cholesky,
-    leading_logdets,
-    schur_complement,
-)
-from .specfun import log_multigamma, log_multigamma_ratio
-from .wishart import (
-    Regime,
-    SampleBatch,
-    WishartParams,
-    log_density,
-    sample_bartlett,
-    sample_gaussian_sum,
-)
-from .moments import (
-    ExactMoment,
-    MomentFactor,
-    MomentQuery,
-    block_moments_log,
-    disjoint_moment_block_diag_log,
-    embedded_moment_log,
-    single_minor_moment_log,
-)
-from .montecarlo import (
-    ComparisonReport,
-    McEstimate,
-    Verdict,
-    compare,
-    estimate_disjoint,
-    estimate_embedded,
-    estimate_log_statistic,
-)
-from .gpi import (
-    GpiResult,
-    SearchConfig,
-    SearchReport,
-    TrialRecord,
-    WishartGpiInstance,
-    gaussian_moment_log,
-    gpi_ratio,
-    random_correlation,
-    search,
-)
+import scipy  # noqa: F401 - bench/child.py reads scipy.__version__
+
+# Each module's __all__ is the one declaration of its public names.
+from . import errors, gpi, linalg, moments, montecarlo, specfun, wishart
+from .errors import *  # noqa: F403
+from .linalg import *  # noqa: F403
+from .specfun import *  # noqa: F403
+from .wishart import *  # noqa: F403
+from .moments import *  # noqa: F403
+from .montecarlo import *  # noqa: F403
+from .gpi import *  # noqa: F403
 
 __all__ = [
     "__version__",
-    "WishminorsError",
-    "DimensionMismatch",
-    "NotPositiveDefinite",
-    "DomainError",
-    "SingularRegime",
-    "NonIntegerAlpha",
-    "NotBlockDiagonal",
-    "DegenerateEstimate",
-    "BlockPartition",
-    "SpdMatrix",
-    "cholesky",
-    "leading_logdets",
-    "schur_complement",
-    "log_multigamma",
-    "log_multigamma_ratio",
-    "Regime",
-    "WishartParams",
-    "SampleBatch",
-    "log_density",
-    "sample_bartlett",
-    "sample_gaussian_sum",
-    "MomentQuery",
-    "MomentFactor",
-    "ExactMoment",
-    "single_minor_moment_log",
-    "embedded_moment_log",
-    "block_moments_log",
-    "disjoint_moment_block_diag_log",
-    "McEstimate",
-    "Verdict",
-    "ComparisonReport",
-    "estimate_log_statistic",
-    "estimate_embedded",
-    "estimate_disjoint",
-    "compare",
-    "WishartGpiInstance",
-    "GpiResult",
-    "SearchConfig",
-    "TrialRecord",
-    "SearchReport",
-    "gaussian_moment_log",
-    "gpi_ratio",
-    "random_correlation",
-    "search",
+    *errors.__all__,
+    *linalg.__all__,
+    *specfun.__all__,
+    *wishart.__all__,
+    *moments.__all__,
+    *montecarlo.__all__,
+    *gpi.__all__,
 ]

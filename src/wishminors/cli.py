@@ -206,9 +206,9 @@ def _moment_inputs(args):
 def cmd_exact(args) -> int:
     params, query = _moment_inputs(args)
     if args.disjoint_blockdiag:
-        # Refuses a scale with off-block coupling before the factors are taken.
-        check_block_diagonal(params.sigma, query.partition)
         exact = block_moments_log(params, query)
+        # Admitting the shape first makes a refusal read as verify's does.
+        check_block_diagonal(params.sigma, query.partition)
     else:
         exact = embedded_moment_log(params, query)
     record = _record(
@@ -289,7 +289,7 @@ def cmd_sample(args) -> int:
     )
     # The draws file is plain CSV; the self-describing run record goes to
     # stdout so metadata always accompanies the artifact.
-    _emit(_record(args, rows_written=batch.count * len(up_r)), args.format, None)
+    _emit(_record(args, rows_written=len(batch.draws) * len(up_r)), args.format, None)
     return EXIT_OK
 
 

@@ -1,5 +1,16 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "WishminorsError",
+    "DimensionMismatch",
+    "NotPositiveDefinite",
+    "DomainError",
+    "SingularRegime",
+    "NonIntegerAlpha",
+    "NotBlockDiagonal",
+    "DegenerateEstimate",
+]
+
 
 class WishminorsError(Exception):
     """Base class for all errors raised by this package."""

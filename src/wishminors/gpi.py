@@ -19,9 +19,9 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError, NotPositiveDefinite
 from .linalg import BlockPartition, SpdMatrix, cholesky
-from .moments import MomentQuery, admit_disjoint, block_moments_log
+from .moments import MomentQuery, block_moments_log
 from .moments import single_minor_moment_log  # noqa: F401 - bench/spans.py wraps it
-from .montecarlo import McEstimate, Verdict, compare, estimate_disjoint, exp_or_inf
+from .montecarlo import McEstimate, Verdict, _verdict_for, compare, estimate_disjoint, exp_or_inf
 from .montecarlo import estimate_log_statistic  # noqa: F401 - bench/spans.py wraps it
 from .streams import check_seed, map_ordered
 from .wishart import WishartParams
@@ -45,8 +45,9 @@ _ESCALATION_FACTOR = 10
 
 @dataclass(frozen=True, eq=False)
 class WishartGpiInstance:
-    """Disjoint-minor instance; ``admit_disjoint`` admits its ``query``.
+    """Disjoint-minor instance with its exact denominator, computed once.
 
+    ``block_moments_log`` admits ``query`` and gives ``denominator_log``.
     The scalar Gaussian instance Z ~ N(0, R) is alpha = 1, scale R, unit blocks.
     """
 
@@ -54,12 +55,14 @@ class WishartGpiInstance:
     partition: BlockPartition
     nu: tuple[float, ...]
     query: MomentQuery = field(init=False, repr=False)
+    denominator_log: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         query = MomentQuery(partition=self.partition, nu=self.nu)
-        admit_disjoint(self.params, query)
+        den = block_moments_log(self.params, query).log_value
         object.__setattr__(self, "nu", query.nu)
         object.__setattr__(self, "query", query)
+        object.__setattr__(self, "denominator_log", den)
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,11 +88,7 @@ class GpiResult:
 
 def _violation_verdict(z: float) -> Verdict:
     # One-sided: only the ratio-below-1 direction threatens the conjecture.
-    if z >= -4.0:
-        return Verdict.CONSISTENT
-    if z >= -6.0:
-        return Verdict.SUSPICIOUS
-    return Verdict.INCONSISTENT
+    return _verdict_for(min(z, 0.0))
 
 
 def gaussian_moment_log(nu: float, variance: float = 1.0) -> float:
@@ -115,10 +114,10 @@ def gpi_ratio(instance, n: int, seed: int, workers: int = 1) -> GpiResult:
     """Estimate the product-moment ratio for one instance.
 
     The numerator is Monte Carlo; the denominator is the exact product of
-    per-block marginal moments (never estimated), so the ratio's standard
-    error is entirely the numerator's.
+    per-block marginal moments (never estimated, kept on the instance), so
+    the ratio's standard error is entirely the numerator's.
     """
-    den = block_moments_log(instance.params, instance.query).log_value
+    den = instance.denominator_log
     num = estimate_disjoint(instance.params, instance.query, n, seed, workers)
     report = compare(den, num)
     ratio_log = num.mean_log - den

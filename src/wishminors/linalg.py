@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy  # scipy.linalg loads on first attribute access
 
 from .errors import DimensionMismatch, NotPositiveDefinite
 
@@ -157,8 +156,8 @@ def leading_logdets(m: SpdMatrix, partition: BlockPartition) -> np.ndarray:
 def schur_complement(m, k: int) -> np.ndarray:
     """Schur complement of the leading ``k x k`` block.
 
-    Computes ``M22 - M21 @ inv(M11) @ M12`` via triangular solves against
-    the Cholesky factor of ``M11``, then symmetrises the result exactly.
+    Computes ``M22 - M21 @ inv(M11) @ M12`` via a solve against the
+    Cholesky factor of ``M11``, then symmetrises the result exactly.
 
     Raises
     ------
@@ -172,6 +171,6 @@ def schur_complement(m, k: int) -> np.ndarray:
     if not 1 <= k < n:
         raise DimensionMismatch(f"block size k={k} must satisfy 1 <= k < {n}")
     low = cholesky(np.ascontiguousarray(a[:k, :k]))
-    w = scipy.linalg.solve_triangular(low, a[:k, k:], lower=True)
+    w = np.linalg.solve(low, a[:k, k:])
     s = a[k:, k:] - w.T @ w
     return 0.5 * (s + s.T)

@@ -32,11 +32,8 @@ __all__ = [
     "MomentFactor",
     "ExactMoment",
     "single_minor_moment_log",
-    "admit_embedded",
     "embedded_moment_log",
-    "admit_disjoint",
     "block_moments_log",
-    "check_block_diagonal",
     "disjoint_moment_block_diag_log",
 ]
 
@@ -190,7 +187,8 @@ def disjoint_moment_block_diag_log(params: WishartParams, query: MomentQuery) ->
     of X are independent Wishart(alpha, sigma_ii) matrices, so the joint
     moment is ``block_moments_log``, each block with the *full* shape
     alpha.  A scale with off-block coupling makes this an open problem,
-    and the function refuses rather than approximate.
+    and the function refuses rather than approximate; the shape is
+    admitted first, so a refusal of it reads as it does for the estimate.
 
     Raises
     ------
@@ -198,8 +196,9 @@ def disjoint_moment_block_diag_log(params: WishartParams, query: MomentQuery) ->
         If any off-block entry exceeds 1e-12 times the largest diagonal
         entry; the message pinpoints the worst offender.
     """
+    exact = block_moments_log(params, query)
     check_block_diagonal(params.sigma, query.partition)
-    return block_moments_log(params, query).log_value
+    return exact.log_value
 
 
 def check_block_diagonal(sigma: SpdMatrix, part: BlockPartition) -> None:

@@ -28,7 +28,6 @@ __all__ = [
     "estimate_embedded",
     "estimate_disjoint",
     "compare",
-    "exp_or_inf",
 ]
 
 # Zero-spread estimates must match the exact value this tightly or the

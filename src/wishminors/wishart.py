@@ -1,4 +1,4 @@
-"""Wishart parameters, density, samplers, and the one chunked-sampling driver.
+"""Wishart parameters, samplers, and the one chunked-sampling driver.
 
 Both sampling methods write a draw as X = T T^T; ``_factor_draw`` draws T
 for the samplers and the disjoint-minor estimator alike.
@@ -16,24 +16,19 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy  # scipy.linalg loads on first attribute access
 
-from .errors import DimensionMismatch, DomainError, NonIntegerAlpha, SingularRegime
+from .errors import DomainError, NonIntegerAlpha, SingularRegime
 from .linalg import SpdMatrix
-from .specfun import log_multigamma
+from .specfun import log_multigamma  # noqa: F401 - bench/spans.py wraps it
 from .streams import chunk_sizes, map_ordered, substreams
 
 __all__ = [
     "Regime",
     "WishartParams",
     "SampleBatch",
-    "map_chunks",
-    "log_density",
     "sample_bartlett",
     "sample_gaussian_sum",
 ]
-
-_LOG_2 = math.log(2.0)
 
 # A fixed chunk count keeps the batch-means error valid and makes the chunk
 # layout, and with it every draw, a function of (n, seed) alone.
@@ -82,50 +77,15 @@ class WishartParams:
 
 @dataclass(frozen=True, eq=False)
 class SampleBatch:
-    """A batch of draws plus everything needed to reproduce it.
+    """A batch of draws, shape (count, p, p).
 
-    ``draws`` has shape (count, p, p).  For the triangular-factor sampler
-    ``factors`` holds the lower factors T with ``draws[i] = T[i] @ T[i].T``;
-    the sum-of-outer-products sampler leaves it None.
+    For the triangular-factor sampler ``factors`` holds the lower factors T
+    with ``draws[i] = T[i] @ T[i].T``; the sum-of-outer-products sampler
+    leaves it None.
     """
 
-    params: WishartParams
-    count: int
-    seed: int
-    method: str
     draws: np.ndarray
     factors: np.ndarray | None
-
-
-def log_density(params: WishartParams, x) -> float:
-    """Log density at ``x`` for a nonsingular Wishart.
-
-    ``x`` may be an SpdMatrix or a plain symmetric positive definite
-    array.  The quadratic form uses ``tr(sigma^-1 x) = ||L^-1 C||_F^2``
-    with C the factor of x, so nothing is ever inverted.
-
-    Raises
-    ------
-    SingularRegime
-        If ``params`` is in the singular regime (no density exists).
-    DimensionMismatch
-        If ``x`` has a different dimension than the scale.
-    """
-    params.require_nonsingular("a Lebesgue density")
-    if not isinstance(x, SpdMatrix):
-        x = SpdMatrix.from_array(x)
-    p = params.dim
-    if x.dim != p:
-        raise DimensionMismatch(f"point has dim {x.dim}, scale has dim {p}")
-    half_alpha = params.alpha / 2.0
-    y = scipy.linalg.solve_triangular(params.sigma.chol, x.chol, lower=True)
-    trace = float(np.sum(y * y))
-    return (
-        (half_alpha - (p + 1) / 2.0) * x.logdet
-        - 0.5 * trace
-        - half_alpha * (p * _LOG_2 + params.sigma.logdet)
-        - log_multigamma(p, half_alpha)
-    )
 
 
 def map_chunks(fn, n: int, seed: int, workers: int = 1) -> list:
@@ -214,10 +174,6 @@ def _sample_batch(params, method, count, seed, workers) -> SampleBatch:
         return out
 
     return SampleBatch(
-        params=params,
-        count=int(count),
-        seed=int(seed),
-        method=method,
         draws=stack(x for x, _ in parts),
         factors=stack(t for _, t in parts) if keep else None,
     )

@@ -621,14 +621,18 @@ class TestOutOfRangeInputs:
         self, tmp_path, capsys
     ):
         # alpha = 2 on a 3x3 block: the block's minor is zero almost surely.
-        path = sigma_file(tmp_path, np.eye(4))
-        moment = ["--alpha", "2", "--sigma", path, "--partition", "3,1", "--nu", "1,1"]
-        exact = run(capsys, "exact", *moment, "--disjoint-blockdiag")
-        verify = run(capsys, "verify", *moment, "--mode", "disjoint", "--samples", "100")
-        for code, out, err in (exact, verify):
-            assert (code, out) == (EXIT_DOMAIN, "")
-            assert err.count("\n") == 1 and "supports only blocks of size <= alpha" in err
-        assert exact[2] == verify[2]
+        # The shape is refused first, also on a scale coupled across the blocks.
+        coupled = np.eye(4)
+        coupled[0, 3] = coupled[3, 0] = 0.5
+        for sigma in (np.eye(4), coupled):
+            path = sigma_file(tmp_path, sigma)
+            moment = ["--alpha", "2", "--sigma", path, "--partition", "3,1", "--nu", "1,1"]
+            exact = run(capsys, "exact", *moment, "--disjoint-blockdiag")
+            verify = run(capsys, "verify", *moment, "--mode", "disjoint", "--samples", "100")
+            for code, out, err in (exact, verify):
+                assert (code, out) == (EXIT_DOMAIN, "")
+                assert err.count("\n") == 1 and "supports only blocks of size <= alpha" in err
+            assert exact[2] == verify[2]
 
 
 class TestRerunByteIdentity:
@@ -694,21 +698,17 @@ class TestEntrypoint:
         assert proc.returncode == EXIT_PARSE
 
 
-# Runs in a fresh interpreter: which scipy modules the CLI import loads, then
-# the two scipy.linalg callers' values as float hex.
+# Runs in a fresh interpreter: the Schur complement's values as float hex, then
+# which scipy modules the CLI import and that call have loaded.
 _FOOTPRINT_SCRIPT = """
 import json, sys
 import numpy as np
 import wishminors.cli
-loaded = [m for m in ("scipy", "scipy.special", "scipy.linalg") if m in sys.modules]
-from wishminors import SpdMatrix, WishartParams, log_density, schur_complement
+from wishminors import schur_complement
 sig = np.array([[2.0, 0.3, 0.1], [0.3, 1.0, -0.2], [0.1, -0.2, 1.5]])
-x = np.array([[1.5, 0.2, 0.0], [0.2, 0.9, 0.1], [0.0, 0.1, 2.5]])
-values = {
-    "schur": [v.hex() for v in schur_complement(sig, 1).ravel()],
-    "log_density": log_density(WishartParams(7.3, SpdMatrix.from_array(sig)), x).hex(),
-}
-print(json.dumps({"loaded": loaded, "values": values}))
+schur = [v.hex() for v in schur_complement(sig, 1).ravel()]
+loaded = [m for m in ("scipy", "scipy.special", "scipy.linalg") if m in sys.modules]
+print(json.dumps({"loaded": loaded, "schur": schur}))
 """
 
 
@@ -719,12 +719,8 @@ class TestImportFootprint:
         rec = json.loads(proc.stdout)
         # bench/child.py reads sys.modules["scipy"].__version__, so the top level stays.
         assert rec["loaded"] == ["scipy"]
-        # Values from the eager `from scipy.linalg import solve_triangular` import.
-        assert rec["values"]["schur"] == [
+        # The values scipy.linalg.solve_triangular gave, bit for bit.
+        assert rec["schur"] == [
             "0x1.e8f5c28f5c290p-1", "-0x1.b851eb851eb85p-3",
             "-0x1.b851eb851eb85p-3", "0x1.7eb851eb851ecp+0",
         ]
-        # log Gamma_p now sums math.lgamma, which may differ from scipy's gammaln
-        # in the last bit; the triangular solve itself is unchanged.
-        want = float.fromhex("-0x1.ecb64dfa3fe9ep+3")
-        assert float.fromhex(rec["values"]["log_density"]) == pytest.approx(want, rel=4e-16)

@@ -19,6 +19,7 @@ from wishminors import (
     search,
     single_minor_moment_log,
 )
+from wishminors import gpi
 from conftest import random_spd
 
 
@@ -128,6 +129,29 @@ class TestGpiRatio:
         res = gpi_ratio(inst, 1_000, seed=5)
         assert res.ratio == pytest.approx(1.0, abs=1e-12)
         assert res.violation_z == 0.0
+
+    def test_denominator_computed_once_per_instance(self, monkeypatch):
+        inst = gaussian_instance(corr2(0.3), (1.0, 2.0))
+        calls = []
+        original = gpi.block_moments_log
+        monkeypatch.setattr(
+            gpi, "block_moments_log", lambda *a: calls.append(a) or original(*a)
+        )
+        # A first pass and an escalated rerun on the same instance.
+        first = gpi_ratio(inst, 1_000, seed=5)
+        rerun = gpi_ratio(inst, 10_000, seed=6)
+        assert calls == []
+        assert first.denominator_log == rerun.denominator_log == inst.denominator_log
+
+    def test_violation_verdict_is_one_sided(self):
+        want = {
+            10.0: Verdict.CONSISTENT,
+            -4.0: Verdict.CONSISTENT,
+            -4.0001: Verdict.SUSPICIOUS,
+            -6.0: Verdict.SUSPICIOUS,
+            -6.0001: Verdict.INCONSISTENT,
+        }
+        assert {z: gpi._violation_verdict(z) for z in want} == want
 
 
 class TestRandomCorrelation:

@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from wishminors import (
-    DimensionMismatch,
     DomainError,
     NonIntegerAlpha,
     Regime,
     SingularRegime,
     SpdMatrix,
     WishartParams,
-    log_density,
     sample_bartlett,
     sample_gaussian_sum,
 )
@@ -36,42 +34,6 @@ class TestWishartParams:
             params_of(1.5, np.eye(3))  # non-integer below dim - 1
         with pytest.raises(DomainError):
             params_of(-1.0, np.eye(1))
-
-
-class TestLogDensity:
-    def test_univariate_chi_square(self):
-        # alpha=2, sigma=1: density x^0 exp(-x/2)/2
-        got = log_density(params_of(2.0, [[1.0]]), np.array([[2.0]]))
-        assert got == pytest.approx(-1 - math.log(2), abs=1e-13)
-
-    def test_univariate_mode(self):
-        # alpha=4: log-density maximized at x = (alpha - 2) * sigma = 2
-        pr = params_of(4.0, [[1.0]])
-        xs = np.linspace(0.5, 6.0, 111)
-        vals = [log_density(pr, np.array([[x]])) for x in xs]
-        assert xs[int(np.argmax(vals))] == pytest.approx(2.0, abs=0.05)
-
-    def test_bivariate_identity_point(self):
-        got = log_density(params_of(3.0, np.eye(2)), np.eye(2))
-        want = -1 - 3 * math.log(2) - math.log(math.pi / 2)
-        assert got == pytest.approx(want, abs=1e-13)
-
-    def test_integrates_against_sampler(self, rng):
-        # density consistency: E[exp(log_density)] under the sampler equals
-        # the integral of f^2, positive and finite; just spot-check finiteness
-        # and the known mean via importance-free direct evaluation.
-        pr = params_of(5.0, random_spd(rng, 2, cond=5.0))
-        batch = sample_bartlett(pr, 100, seed=1)
-        vals = [log_density(pr, np.asarray(x)) for x in batch.draws]
-        assert np.all(np.isfinite(vals))
-
-    def test_singular_regime_refused(self):
-        with pytest.raises(SingularRegime):
-            log_density(params_of(1.0, np.eye(2)), np.eye(2))
-
-    def test_dim_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            log_density(params_of(3.0, np.eye(2)), np.eye(3))
 
 
 class TestSampleBartlett:
