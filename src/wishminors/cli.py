@@ -166,12 +166,21 @@ def _emit(record: dict, fmt: str, out: str | None) -> None:
     if fmt == "json":
         text = json.dumps(record, indent=2, allow_nan=False) + "\n"
     elif fmt == "csv":
-        text = "key,value\n" + "".join(f"{k},{v}\n" for k, v in _flatten(record))
+        text = "key,value\n" + "".join(
+            f"{_csv_field(k)},{_csv_field(v)}\n" for k, v in _flatten(record)
+        )
     else:
         rows = _flatten(record)
         width = max(len(k) for k, _ in rows)
         text = "".join(f"{k.ljust(width)}  {v}\n" for k, v in rows)
     _write_lines([text], out)
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as one RFC 4180 field, quoted only if it holds a comma, quote or line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _flatten(record: dict, prefix: str = "") -> list[tuple[str, str]]:

@@ -114,7 +114,7 @@ def estimate_log_statistic(stat_fn, n: int, seed: int, workers: int = 1) -> McEs
     n = int(n)
 
     def run(task):
-        rng, m = task
+        rng, _, m = task  # the start row serves only the samplers
         s = np.asarray(stat_fn(rng, m), dtype=float)
         if s.shape != (m,):
             raise DimensionMismatch(f"statistic returned shape {s.shape}, wanted ({m},)")

@@ -12,6 +12,7 @@ rejected at construction.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -89,14 +90,16 @@ class SampleBatch:
 
 
 def map_chunks(fn, n: int, seed: int, workers: int = 1) -> list:
-    """Map ``fn((rng, m))`` over ``n`` draws split into ``min(n, 64)`` chunks.
+    """Map ``fn((rng, start, m))`` over ``n`` draws split into ``min(n, 64)`` chunks.
 
-    Chunk ``i`` holds ``m`` draws from substream ``i`` of ``seed``, and the
-    results come back in chunk order, so they depend on ``(n, seed)`` alone:
-    ``workers`` only schedules chunks onto threads.  Zero draws give ``[]``.
+    Chunk ``i`` holds draws ``start, ..., start + m - 1``, drawn from
+    substream ``i`` of ``seed``, and the results come back in chunk order,
+    so they depend on ``(n, seed)`` alone: ``workers`` only schedules chunks
+    onto threads.  Zero draws give ``[]``.
     """
     sizes = chunk_sizes(n, min(n, _CHUNKS)) if n else []
-    return map_ordered(fn, zip(substreams(seed, len(sizes)), sizes), workers=workers)
+    starts = itertools.accumulate(sizes, initial=0)
+    return map_ordered(fn, zip(substreams(seed, len(sizes)), starts, sizes), workers=workers)
 
 
 def _bartlett_dofs(alpha: float, p: int) -> np.ndarray:
@@ -153,30 +156,30 @@ def _factor_draw(params: WishartParams, method: str):
 def _sample_batch(params, method, count, seed, workers) -> SampleBatch:
     """Draw ``count`` matrices T T^T from ``_factor_draw(params, method)`` as a batch.
 
-    ``factors`` is kept for the bartlett method only.
+    Each chunk writes its draws, and for the bartlett method its factors,
+    straight into its own rows of the two preallocated arrays.
     """
     draw = _factor_draw(params, method)
     if int(count) != count or count < 0:
         raise DomainError(f"draw count must be a nonnegative integer, got {count!r}")
-    keep = method == "bartlett"
+    shape = (int(count), params.dim, params.dim)
+    draws = np.empty(shape)
+    factors = np.empty(shape) if method == "bartlett" else None
 
     def run(task):
-        t = draw(*task)
+        rng, start, m = task
+        t = draw(rng, m)
         x = np.matmul(t, t.transpose(0, 2, 1))
-        return 0.5 * (x + x.transpose(0, 2, 1)), t if keep else None
+        rows = slice(start, start + m)
+        np.multiply(0.5, x + x.transpose(0, 2, 1), out=draws[rows])
+        if factors is not None:
+            factors[rows] = t
 
-    parts = map_chunks(run, int(count), seed, workers)
-    empty = np.zeros((0, params.dim, params.dim))
-
-    def stack(arrays):
-        out = np.concatenate([empty, *arrays])
-        out.setflags(write=False)
-        return out
-
-    return SampleBatch(
-        draws=stack(x for x, _ in parts),
-        factors=stack(t for _, t in parts) if keep else None,
-    )
+    map_chunks(run, shape[0], seed, workers)
+    draws.setflags(write=False)
+    if factors is not None:
+        factors.setflags(write=False)
+    return SampleBatch(draws=draws, factors=factors)
 
 
 def sample_bartlett(

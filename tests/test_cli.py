@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -215,6 +217,20 @@ class TestVerify:
         assert "note" in rec and "block diagonal" in rec["note"]
         # Wick: E(X11 X22) = alpha^2 + 2 alpha rho^2 = 5 here
         assert rec["mean"] == pytest.approx(5.0, abs=5 * rec["stderr"])
+
+    def test_csv_record_quotes_a_note_with_commas(self, tmp_path, capsys):
+        path = sigma_file(tmp_path, [[1.0, 0.3], [0.3, 1.0]])
+        argv = ("verify", "--alpha", "3", "--sigma", path, "--partition", "1,1",
+                "--nu", "1,1", "--mode", "disjoint", "--samples", "1000")
+        _, out, _ = run(capsys, *argv)
+        note = json.loads(out)["note"]
+        assert "," in note
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == EXIT_OK
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["key", "value"]
+        assert all(len(row) == 2 for row in rows)
+        assert dict(rows)["note"] == note
 
     @pytest.mark.parametrize("nu", ["0,1", "0.5,0.5", "1,0.25"])
     def test_embedded_boundary_record_is_strict_json(self, tmp_path, capsys, nu):

@@ -28,7 +28,7 @@ from wishminors import (
 from wishminors.gpi import WishartGpiInstance
 from wishminors.montecarlo import _embedded_stat_factory, _verdict_for
 from wishminors.wishart import Regime, _factor_draw
-from wishminors.streams import chunk_sizes
+from wishminors.streams import chunk_sizes, substreams
 from conftest import WORKER_COUNTS, random_spd, serial_chunks_above
 
 
@@ -49,8 +49,7 @@ class TestEngine:
             return np.log(rng.chisquare(3.0, size=m))
 
         est = estimate_log_statistic(stat, 20_000, seed=31)
-        gens = [np.random.Generator(np.random.Philox(c))
-                for c in np.random.SeedSequence(31).spawn(64)]
+        gens = substreams(31, 64)
         sizes = chunk_sizes(20_000, 64)
         naive = np.concatenate(
             [g.chisquare(3.0, size=m) for g, m in zip(gens, sizes)]

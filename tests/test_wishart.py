@@ -1,4 +1,6 @@
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from wishminors import (
     sample_bartlett,
     sample_gaussian_sum,
 )
+from wishminors.streams import chunk_sizes, substreams
+from wishminors.wishart import _factor_draw
 from conftest import WORKER_COUNTS, random_spd, serial_chunks_above
 
 
@@ -156,6 +160,52 @@ class TestWorkerInvariance:
             assert got.factors is None
         else:
             assert np.array_equal(got.factors, want.factors)
+
+
+SAMPLERS = [("bartlett", sample_bartlett), ("gaussian-sum", sample_gaussian_sum)]
+
+
+class TestBatchLayout:
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("method, sampler", SAMPLERS, ids=["bartlett", "gaussian_sum"])
+    def test_matches_chunkwise_reference(self, rng, method, sampler, workers):
+        # 1001 = 64 * 15 + 41: the chunks differ in size.  Threads write
+        # disjoint rows of one array; a short switch interval interleaves them.
+        pr = params_of(7.0, random_spd(rng, 6, cond=10.0))
+        count = 1001
+        draw = _factor_draw(pr, method)
+        t = np.concatenate([
+            draw(g, m) for g, m in zip(substreams(13, 64), chunk_sizes(count, 64))
+        ])
+        x = np.matmul(t, t.transpose(0, 2, 1))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            batch = sampler(pr, count, seed=13, workers=workers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(batch.draws, 0.5 * (x + x.transpose(0, 2, 1)))
+        if method == "bartlett":
+            assert np.array_equal(batch.factors, t)
+        assert not batch.draws.flags.writeable
+        assert batch.factors is None or not batch.factors.flags.writeable
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "sampler", [sample_bartlett, sample_gaussian_sum], ids=["bartlett", "gaussian_sum"]
+    )
+    def test_peak_memory_is_the_batch(self, rng, sampler, workers):
+        # Chunks write into the returned arrays, so beyond them only one
+        # chunk's temporaries per worker are alive at a time.
+        pr = params_of(7.0, random_spd(rng, 6, cond=10.0))
+        tracemalloc.start()
+        try:
+            batch = sampler(pr, 20_000, seed=1, workers=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = batch.draws.nbytes + (batch.factors.nbytes if batch.factors is not None else 0)
+        assert peak <= 1.25 * held
 
 
 class TestSamplerAgreement:
