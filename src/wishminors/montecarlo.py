@@ -181,6 +181,28 @@ def estimate_embedded(
     return estimate_log_statistic(_embedded_stat_factory(params, query), n, seed, workers)
 
 
+def _gram_logdet(rows: np.ndarray) -> np.ndarray:
+    """log det(R Rᵀ) for each (k, n) block R of an (m, k, n) batch of rows.
+
+    Gaussian elimination without pivoting (the Gram is positive definite),
+    one array step per block row across the whole batch.  The Gram goes
+    through ``gemm`` (a transposed copy, not ``syrk``) and the batch then
+    sits on the last axis, so every step runs over contiguous memory.  A
+    pivot that is not positive, or NaN, marks a numerically singular block,
+    which gets -inf.
+    """
+    g = np.matmul(rows, np.ascontiguousarray(rows.transpose(0, 2, 1)))
+    g = np.ascontiguousarray(g.transpose(1, 2, 0))
+    k = len(g)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j in range(k - 1):
+            ratio = g[j + 1 :, j] / g[j, j]
+            g[j + 1 :, j + 1 :] -= ratio[:, None] * g[j, None, j + 1 :]
+        pivots = g[np.arange(k), np.arange(k)]
+        logdet = np.log(pivots).sum(axis=0)
+    return np.where(np.all(pivots > 0, axis=0), logdet, -np.inf)
+
+
 def _disjoint_stat(params: WishartParams, query: MomentQuery):
     # Block k of X = T T^T is the Gram matrix of the rows t[:, a:b] of T.
     method = "bartlett" if params.regime is Regime.NONSINGULAR else "gaussian-sum"
@@ -202,9 +224,7 @@ def _disjoint_stat(params: WishartParams, query: MomentQuery):
             if b - a == 1:
                 s += nu_k * next(unit_logs)
             else:
-                rows = t[:, a:b]
-                sign, logdet = np.linalg.slogdet(np.matmul(rows, rows.transpose(0, 2, 1)))
-                s += nu_k * np.where(sign > 0, logdet, -np.inf)
+                s += nu_k * _gram_logdet(t[:, a:b])
         return s
 
     return stat
@@ -218,8 +238,11 @@ def estimate_disjoint(
     Each draw is X = T T^T with T from the Bartlett factor (nonsingular
     shapes) or the Gaussian-sum factor (singular integer shapes).  A unit
     block's minor is the squared norm of its row of T; a larger block's
-    log-minor is the ``slogdet`` of its rows' Gram matrix, and a draw whose
-    block is numerically singular gets ``-inf``.
+    log-minor is the log-determinant of its rows' Gram matrix, from Gaussian
+    elimination vectorized across the chunk (``_gram_logdet``) rather than a
+    LAPACK call per draw, which would contend for OpenBLAS's buffer lock
+    across workers.  A draw whose block is numerically singular gets
+    ``-inf``.
     """
     admit_disjoint(params, query)
     return estimate_log_statistic(_disjoint_stat(params, query), n, seed, workers)

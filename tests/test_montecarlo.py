@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from wishminors import (
     sample_gaussian_sum,
 )
 from wishminors.gpi import WishartGpiInstance
-from wishminors.montecarlo import _embedded_stat_factory, _verdict_for
+from wishminors.montecarlo import _embedded_stat_factory, _gram_logdet, _verdict_for
 from wishminors.wishart import Regime, _factor_draw
 from wishminors.streams import chunk_sizes, substreams
 from conftest import WORKER_COUNTS, random_spd, serial_chunks_above
@@ -269,8 +270,58 @@ class TestEstimateDisjoint:
         assert got == want
 
 
+class TestGramLogdet:
+    """Batched elimination gives slogdet's log-determinant of the Gram of each row block."""
+
+    @staticmethod
+    def bartlett_rows(rng, m=400, p=8):
+        params = params_of(9.5, random_spd(rng, p, cond=20.0))
+        return _factor_draw(params, "bartlett")(rng, m)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 6])
+    @pytest.mark.parametrize("view", ["square", "rows"])
+    def test_matches_slogdet(self, rng, k, view):
+        t = self.bartlett_rows(rng)
+        # Non-contiguous views of T, as the disjoint statistic passes them.
+        rows = t[:, :k, :k] if view == "square" else t[:, 2 : 2 + k]
+        sign, want = np.linalg.slogdet(rows @ rows.transpose(0, 2, 1))
+        assert np.all(sign > 0)
+        np.testing.assert_allclose(_gram_logdet(rows), want, rtol=1e-12)
+
+    @pytest.mark.parametrize("singular", ["zero-row", "repeated-row", "leading-zero-row"])
+    def test_singular_block_is_minus_inf(self, rng, singular):
+        rows = rng.standard_normal((50, 4, 6))
+        if singular == "zero-row":
+            rows[:, 2] = 0.0
+        elif singular == "repeated-row":
+            rows[:, 3] = rows[:, 1]
+        else:
+            rows[:, 0] = 0.0
+        rows[0] = rng.standard_normal((4, 6))  # one regular block in the batch
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _gram_logdet(rows)
+        assert not np.any(np.isnan(got))
+        assert np.isfinite(got[0])
+        assert np.all(got[1:] == -np.inf)
+
+    def test_estimate_makes_no_slogdet_call(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-matrix slogdet called")
+
+        q = MomentQuery(partition=BlockPartition((4, 4, 4)), nu=(1.0, 0.5, 1.5))
+        want = disjoint_moment_block_diag_log(params_of(14.0, np.eye(12)), q)
+        monkeypatch.setattr(np.linalg, "slogdet", refuse)
+        est = estimate_disjoint(params_of(14.0, np.eye(12)), q, 2_000, seed=53, workers=2)
+        assert abs(compare(want, est).z) <= 4.0
+
+
 def per_block_disjoint_stat(params, query):
-    """The disjoint statistic with one einsum and one log per unit block."""
+    """The disjoint statistic with one einsum and one log per unit block.
+
+    Larger blocks take their log-minors from ``_gram_logdet``, as the
+    statistic does, so the comparison pins the unit-block batching bit for bit.
+    """
     method = "bartlett" if params.regime is Regime.NONSINGULAR else "gaussian-sum"
     draw = _factor_draw(params, method)
     prefix = query.partition.prefix
@@ -286,8 +337,7 @@ def per_block_disjoint_stat(params, query):
                 with np.errstate(divide="ignore"):
                     s += nu_k * np.log(np.einsum("mj,mj->m", rows[:, 0], rows[:, 0]))
             else:
-                sign, logdet = np.linalg.slogdet(np.matmul(rows, rows.transpose(0, 2, 1)))
-                s += nu_k * np.where(sign > 0, logdet, -np.inf)
+                s += nu_k * _gram_logdet(rows)
         return s
 
     return stat
