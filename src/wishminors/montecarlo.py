@@ -205,8 +205,9 @@ def _gram_logdet(rows: np.ndarray) -> np.ndarray:
 
 def _disjoint_stat(params: WishartParams, query: MomentQuery):
     # Block k of X = T T^T is the Gram matrix of the rows t[:, a:b] of T.
-    method = "bartlett" if params.regime is Regime.NONSINGULAR else "gaussian-sum"
-    draw = _factor_draw(params, method)
+    # A Bartlett T is lower triangular, so block rows a:b are zero past column b.
+    triangular = params.regime is Regime.NONSINGULAR
+    draw = _factor_draw(params, "bartlett" if triangular else "gaussian-sum")
     prefix = query.partition.prefix
     spans = [(a, b, nu_k) for a, b, nu_k in zip(prefix, prefix[1:], query.nu) if nu_k != 0.0]
     # The unit blocks' log-minors come from one einsum and one log per chunk.
@@ -224,7 +225,7 @@ def _disjoint_stat(params: WishartParams, query: MomentQuery):
             if b - a == 1:
                 s += nu_k * next(unit_logs)
             else:
-                s += nu_k * _gram_logdet(t[:, a:b])
+                s += nu_k * _gram_logdet(t[:, a:b, :b] if triangular else t[:, a:b])
         return s
 
     return stat
@@ -241,8 +242,11 @@ def estimate_disjoint(
     log-minor is the log-determinant of its rows' Gram matrix, from Gaussian
     elimination vectorized across the chunk (``_gram_logdet``) rather than a
     LAPACK call per draw, which would contend for OpenBLAS's buffer lock
-    across workers.  A draw whose block is numerically singular gets
-    ``-inf``.
+    across workers.  The Bartlett T is lower triangular, so the Gram of block
+    rows ``a:b`` uses only their leading ``b`` columns.  A draw whose block
+    is numerically singular gets ``-inf``.  Each worker thread reuses one
+    zeroed Bartlett triangle across its chunks, while every chunk's T is a
+    fresh array owned by the statistic (see ``wishart._factor_draw``).
     """
     admit_disjoint(params, query)
     return estimate_log_statistic(_disjoint_stat(params, query), n, seed, workers)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,6 +117,11 @@ def _factor_draw(params: WishartParams, method: str):
     chi-square diagonals, then all subdiagonal normals).  The embedded
     statistic shares only the chi-square prefix: it draws no normals, and
     its chi-squares match these only when every degree of freedom is >= 2.
+    T is lower triangular, so rows ``a:b`` are zero from column ``b`` on and
+    a block's Gram needs only its leading ``b`` columns.
+    Each thread keeps one zeroed A across its calls and fills only its
+    diagonal and subdiagonal, so a chunk costs no fresh zeroed pages; the
+    returned T is a new array that belongs to the caller.
 
     ``gaussian-sum``: T = L G^T with G an alpha x p standard normal matrix
     (k = alpha), so T T^T sums alpha outer products of N(0, sigma) vectors;
@@ -128,11 +134,15 @@ def _factor_draw(params: WishartParams, method: str):
         dofs = _bartlett_dofs(params.alpha, p)
         rows = np.arange(p)
         low_r, low_c = np.tril_indices(p, k=-1)
+        scratch = threading.local()
 
         def draw(rng: np.random.Generator, m: int) -> np.ndarray:
             chisq = rng.chisquare(dofs, size=(m, p))
             normals = rng.standard_normal((m, p * (p - 1) // 2))
-            a = np.zeros((m, p, p))
+            a = getattr(scratch, "a", None)
+            if a is None or len(a) < m:
+                a = scratch.a = np.zeros((m, p, p))  # the upper triangle stays zero
+            a = a[:m]
             a[:, rows, rows] = np.sqrt(chisq)
             a[:, low_r, low_c] = normals
             return np.matmul(scale_chol, a)

@@ -288,6 +288,18 @@ class TestGramLogdet:
         assert np.all(sign > 0)
         np.testing.assert_allclose(_gram_logdet(rows), want, rtol=1e-12)
 
+    @pytest.mark.parametrize("sizes", [(4, 4, 4), (2, 1, 3)])
+    def test_leading_columns_are_bitwise(self, rng, sizes):
+        # A Bartlett T is lower triangular, so block rows a:b are zero from
+        # column b on, and the disjoint statistic passes only the first b.
+        p = sum(sizes)
+        params = params_of(p + 0.5, random_spd(rng, p, cond=20.0))
+        t = _factor_draw(params, "bartlett")(rng, 1563)
+        prefix = np.cumsum((0,) + sizes)
+        for a, b in zip(prefix, prefix[1:]):
+            assert np.all(t[:, a:b, b:] == 0.0)
+            assert np.array_equal(_gram_logdet(t[:, a:b, :b]), _gram_logdet(t[:, a:b]))
+
     @pytest.mark.parametrize("singular", ["zero-row", "repeated-row", "leading-zero-row"])
     def test_singular_block_is_minus_inf(self, rng, singular):
         rows = rng.standard_normal((50, 4, 6))

@@ -208,6 +208,28 @@ class TestBatchLayout:
         assert peak <= 1.25 * held
 
 
+class TestBartlettScratch:
+    def test_reused_triangle_gives_fresh_factors(self, rng):
+        # One thread; the chunk sizes make the per-thread triangle shrink and grow.
+        pr = params_of(7.5, random_spd(rng, 5, cond=10.0))
+        p = pr.dim
+        diag = np.arange(p)
+        low_r, low_c = np.tril_indices(p, k=-1)
+        draw = _factor_draw(pr, "bartlett")
+        gen, ref = np.random.default_rng(17), np.random.default_rng(17)
+        returned = []
+        for m in (9, 4, 12, 4):
+            t = draw(gen, m)
+            a = np.zeros((m, p, p))
+            a[:, diag, diag] = np.sqrt(ref.chisquare(7.5 - diag, size=(m, p)))
+            a[:, low_r, low_c] = ref.standard_normal((m, p * (p - 1) // 2))
+            assert np.array_equal(t, np.matmul(pr.sigma.chol, a))
+            assert np.all(np.triu(t, k=1) == 0.0)
+            returned.append((t, t.copy()))
+        for t, kept in returned:
+            assert np.array_equal(t, kept)
+
+
 class TestSamplerAgreement:
     def test_integer_alpha_cross_check(self):
         # both samplers target the same law: compare E(X) entrywise and
