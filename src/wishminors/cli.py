@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -95,10 +96,12 @@ def write_matrix_csv(matrix, path: str) -> None:
 
 def read_matrix_csv(path: str) -> np.ndarray:
     try:
-        return np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # an empty file: loadtxt only warns
+            return np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
+    except (ValueError, UserWarning) as exc:
         raise InputError(f"{path} is not a numeric CSV matrix: {exc}") from exc
 
 

@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, NotPositiveDefinite
-from .linalg import BlockPartition, SpdMatrix, cholesky
+from .errors import DimensionMismatch, DomainError
+from .linalg import BlockPartition, SpdMatrix
+from .linalg import cholesky  # noqa: F401 - bench/spans.py wraps it
 from .moments import MomentQuery, block_moments_log
 from .moments import single_minor_moment_log  # noqa: F401 - bench/spans.py wraps it
 from .montecarlo import McEstimate, Verdict, _verdict_for, compare, estimate_disjoint, exp_or_inf
@@ -72,18 +73,40 @@ class GpiResult:
     ``violation_z`` is the signed z-score of the estimated ratio against
     1 from below: large negative values are the conjecture-threatening
     direction.  ``first_pass_z`` is set when the trial was escalated.
+    The properties derive from these four fields: ``denominator_log`` is
+    the instance's, ``ratio_log``, ``ratio`` and ``ratio_stderr`` put the
+    numerator over it, ``verdict`` is the one-sided verdict of
+    ``violation_z``, and ``escalated`` says whether ``first_pass_z`` is set.
     """
 
     instance: WishartGpiInstance
     numerator: McEstimate
-    denominator_log: float
-    ratio_log: float
-    ratio: float
-    ratio_stderr: float
     violation_z: float
-    verdict: Verdict
-    escalated: bool = False
     first_pass_z: float | None = None
+
+    @property
+    def denominator_log(self) -> float:
+        return self.instance.denominator_log
+
+    @property
+    def ratio_log(self) -> float:
+        return self.numerator.mean_log - self.denominator_log
+
+    @property
+    def ratio(self) -> float:
+        return exp_or_inf(self.ratio_log)
+
+    @property
+    def ratio_stderr(self) -> float:
+        return exp_or_inf(self.numerator.stderr_log - self.denominator_log)
+
+    @property
+    def verdict(self) -> Verdict:
+        return _violation_verdict(self.violation_z)
+
+    @property
+    def escalated(self) -> bool:
+        return self.first_pass_z is not None
 
 
 def _violation_verdict(z: float) -> Verdict:
@@ -110,52 +133,33 @@ def gaussian_moment_log(nu: float, variance: float = 1.0) -> float:
         return math.inf
 
 
-def gpi_ratio(instance, n: int, seed: int, workers: int = 1) -> GpiResult:
+def gpi_ratio(instance, n: int, seed: int) -> GpiResult:
     """Estimate the product-moment ratio for one instance.
 
     The numerator is Monte Carlo; the denominator is the exact product of
     per-block marginal moments (never estimated, kept on the instance), so
     the ratio's standard error is entirely the numerator's.
     """
-    den = instance.denominator_log
-    num = estimate_disjoint(instance.params, instance.query, n, seed, workers)
-    report = compare(den, num)
-    ratio_log = num.mean_log - den
-    return GpiResult(
-        instance=instance,
-        numerator=num,
-        denominator_log=den,
-        ratio_log=ratio_log,
-        ratio=exp_or_inf(ratio_log),
-        ratio_stderr=exp_or_inf(num.stderr_log - den),
-        violation_z=report.z,
-        verdict=_violation_verdict(report.z),
-    )
+    num = estimate_disjoint(instance.params, instance.query, n, seed)
+    report = compare(instance.denominator_log, num)
+    return GpiResult(instance=instance, numerator=num, violation_z=report.z)
 
 
 def random_correlation(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Random SPD correlation matrix: normalized Gram of dim Gaussian vectors.
+    """Random correlation matrix: normalized Gram of dim Gaussian vectors.
 
-    Each vector has length dim + 2, so the Gram matrix is full rank
-    almost surely; the normalization puts exact ones on the diagonal.
-    Retries up to 8 times if the result fails factorization.
+    Each vector has length dim + 2, so the result is SPD almost surely, and
+    ``_draw_instance`` validates it; it is exactly symmetric with a unit diagonal.
     """
     if dim < 1:
         raise DimensionMismatch(f"dimension must be >= 1, got {dim}")
-    last_err = None
-    for _ in range(8):
-        v = rng.standard_normal((dim, dim + 2))
-        g = v @ v.T
-        norm = np.sqrt(np.diag(g))
-        r = g / np.outer(norm, norm)
-        r = 0.5 * (r + r.T)
-        np.fill_diagonal(r, 1.0)
-        try:
-            cholesky(r)
-            return r
-        except NotPositiveDefinite as exc:  # pragma: no cover - p(retry) ~ 0
-            last_err = exc
-    raise NotPositiveDefinite(f"no SPD correlation after 8 attempts: {last_err}")
+    v = rng.standard_normal((dim, dim + 2))
+    g = v @ v.T
+    norm = np.sqrt(np.diag(g))
+    r = g / np.outer(norm, norm)
+    r = 0.5 * (r + r.T)
+    np.fill_diagonal(r, 1.0)
+    return r
 
 
 @dataclass(frozen=True)
@@ -297,14 +301,10 @@ def search(config: SearchConfig) -> SearchReport:
         instance = _draw_instance(config, rng, index)
         est_seed = int(est_seq.generate_state(1, np.uint64)[0])
         esc_seed = int(esc_seq.generate_state(1, np.uint64)[0])
-        result = gpi_ratio(instance, config.samples, est_seed, workers=1)
+        result = gpi_ratio(instance, config.samples, est_seed)
         if result.verdict is not Verdict.CONSISTENT:
-            rerun = gpi_ratio(
-                instance, _ESCALATION_FACTOR * config.samples, esc_seed, workers=1
-            )
-            result = dataclasses.replace(
-                rerun, escalated=True, first_pass_z=result.violation_z
-            )
+            rerun = gpi_ratio(instance, _ESCALATION_FACTOR * config.samples, esc_seed)
+            result = dataclasses.replace(rerun, first_pass_z=result.violation_z)
         return TrialRecord(
             index=index,
             kind=config.kind,

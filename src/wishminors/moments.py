@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DimensionMismatch, DomainError, NotBlockDiagonal, SingularRegime
 from .linalg import BlockPartition, SpdMatrix, leading_logdets
 from .specfun import log_multigamma_ratio
-from .wishart import Regime, WishartParams
+from .wishart import WishartParams
 
 __all__ = [
     "MomentQuery",
@@ -149,7 +149,7 @@ def admit_disjoint(params: WishartParams, query: MomentQuery) -> None:
     """
     part = query.partition
     part.check_covers(params.dim)
-    if params.regime is Regime.SINGULAR_INTEGER and max(part.sizes) > params.alpha:
+    if not params.nonsingular and max(part.sizes) > params.alpha:
         raise SingularRegime(
             f"alpha={params.alpha} supports only blocks of size <= alpha, "
             f"got sizes {part.sizes}"

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DegenerateEstimate, DimensionMismatch, DomainError
 from .moments import MomentQuery, admit_disjoint, admit_embedded
 from .streams import chunk_sizes, map_ordered, substreams  # noqa: F401 - bench/spans.py wraps them
-from .wishart import Regime, WishartParams, _bartlett_dofs, _factor_draw, map_chunks
+from .wishart import WishartParams, _bartlett_dofs, _factor_draw, map_chunks
 
 __all__ = [
     "McEstimate",
@@ -89,7 +89,10 @@ class McEstimate:
 @dataclass(frozen=True)
 class ComparisonReport:
     z: float
-    verdict: Verdict
+
+    @property
+    def verdict(self) -> Verdict:
+        return _verdict_for(self.z)
 
 
 def _verdict_for(z: float) -> Verdict:
@@ -206,7 +209,7 @@ def _gram_logdet(rows: np.ndarray) -> np.ndarray:
 def _disjoint_stat(params: WishartParams, query: MomentQuery):
     # Block k of X = T T^T is the Gram matrix of the rows t[:, a:b] of T.
     # A Bartlett T is lower triangular, so block rows a:b are zero past column b.
-    triangular = params.regime is Regime.NONSINGULAR
+    triangular = params.nonsingular
     draw = _factor_draw(params, "bartlett" if triangular else "gaussian-sum")
     prefix = query.partition.prefix
     spans = [(a, b, nu_k) for a, b, nu_k in zip(prefix, prefix[1:], query.nu) if nu_k != 0.0]
@@ -271,4 +274,4 @@ def compare(exact_log: float, mc: McEstimate) -> ComparisonReport:
         z = 0.0
     else:
         z = math.expm1(mc.mean_log - exact_log) / mc.rel_stderr
-    return ComparisonReport(z=z, verdict=_verdict_for(z))
+    return ComparisonReport(z=z)

@@ -1,10 +1,11 @@
 """Deterministic parallel random number streams.
 
-All samplers draw from counter-based Philox generators seeded through a
-single ``SeedSequence``.  ``wishart.map_chunks`` fixes the stream layout
-(how many substreams, which draws each one covers) from the draw count
-alone and uses ``map_ordered`` only to schedule chunks onto threads, so
-results depend on ``(n, seed)`` and are bit-identical for any worker count.
+All samplers draw from Philox generators seeded by the children that
+``SeedSequence.spawn`` makes of one seed; no stream uses Philox's counter.
+``wishart.map_chunks`` fixes the stream layout (how many substreams, which
+draws each one covers) from the draw count alone and uses ``map_ordered``
+only to schedule chunks onto threads, so results depend on ``(n, seed)``
+and are bit-identical for any worker count.
 """
 from __future__ import annotations
 

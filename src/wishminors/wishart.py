@@ -11,7 +11,6 @@ rejected at construction.
 """
 from __future__ import annotations
 
-import enum
 import itertools
 import math
 import threading
@@ -25,7 +24,6 @@ from .specfun import log_multigamma  # noqa: F401 - bench/spans.py wraps it
 from .streams import chunk_sizes, map_ordered, substreams
 
 __all__ = [
-    "Regime",
     "WishartParams",
     "SampleBatch",
     "sample_bartlett",
@@ -37,33 +35,25 @@ __all__ = [
 _CHUNKS = 64
 
 
-class Regime(enum.Enum):
-    NONSINGULAR = "nonsingular"
-    SINGULAR_INTEGER = "singular-integer"
-
-
 @dataclass(frozen=True, eq=False)
 class WishartParams:
-    """Shape/scale pair with its support regime resolved up front."""
+    """Shape/scale pair; ``nonsingular`` is ``alpha > dim - 1``, else draws have rank ``alpha``."""
 
     alpha: float
     sigma: SpdMatrix
-    regime: Regime = field(init=False)
+    nonsingular: bool = field(init=False)
 
     def __post_init__(self) -> None:
         alpha = float(self.alpha)
         object.__setattr__(self, "alpha", alpha)
         p = self.sigma.dim
-        if math.isfinite(alpha) and alpha > p - 1:
-            regime = Regime.NONSINGULAR
-        elif alpha >= 1 and float(alpha).is_integer():
-            regime = Regime.SINGULAR_INTEGER
-        else:
+        nonsingular = math.isfinite(alpha) and alpha > p - 1
+        if not (nonsingular or (alpha >= 1 and alpha.is_integer())):
             raise DomainError(
                 f"shape alpha={alpha} is not admissible for dimension {p}: "
                 f"need a finite alpha > {p - 1} or an integer in [1, {p - 1}]"
             )
-        object.__setattr__(self, "regime", regime)
+        object.__setattr__(self, "nonsingular", nonsingular)
 
     @property
     def dim(self) -> int:
@@ -71,7 +61,7 @@ class WishartParams:
 
     def require_nonsingular(self, what: str) -> None:
         """Raise SingularRegime unless ``alpha > dim - 1``; ``what`` names the need."""
-        if self.regime is not Regime.NONSINGULAR:
+        if not self.nonsingular:
             raise SingularRegime(
                 f"{what} needs alpha > dim-1={self.dim - 1}, got alpha={self.alpha}"
             )

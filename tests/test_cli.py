@@ -67,6 +67,19 @@ class TestMatrixCsv:
             read_matrix_csv("/no/such/file.csv")
         assert "cannot read" in str(info.value)
 
+    @pytest.mark.parametrize("text", ["", "\n\n\n"], ids=["empty", "blank-lines"])
+    def test_empty_scale_file_exits_parse(self, tmp_path, capsys, text):
+        path = tmp_path / "sigma.csv"
+        path.write_text(text)
+        code, out, err = run(
+            capsys, "exact", "--alpha", "3", "--sigma", str(path),
+            "--partition", "1", "--nu", "1",
+        )
+        assert code == EXIT_PARSE
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("wishminors:"), err
+
     def test_fmt_float_round_trips(self):
         for x in (0.1, 1 / 3, 2.0, 1e300, math.pi):
             assert float(fmt_float(x)) == x

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -143,6 +144,12 @@ class TestGpiRatio:
         assert calls == []
         assert first.denominator_log == rerun.denominator_log == inst.denominator_log
 
+    def test_derived_values_follow_the_stored_ones(self):
+        res = gpi_ratio(gaussian_instance(corr2(0.3), (1.0, 1.0)), 1_000, seed=5)
+        assert res.escalated is False
+        assert dataclasses.replace(res, first_pass_z=-5.0).escalated is True
+        assert dataclasses.replace(res, violation_z=-7.0).verdict is Verdict.INCONSISTENT
+
     def test_violation_verdict_is_one_sided(self):
         want = {
             10.0: Verdict.CONSISTENT,
@@ -166,6 +173,14 @@ class TestRandomCorrelation:
             assert np.array_equal(np.diag(r), np.ones(dim))
             off = r[np.triu_indices(dim, 1)]
             assert np.all(np.abs(off) < 1.0)
+
+    def test_makes_no_cholesky_call(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("random_correlation factorized its result")
+
+        monkeypatch.setattr(gpi, "cholesky", refuse)
+        r = random_correlation(4, np.random.default_rng(3))
+        assert SpdMatrix.from_array(r).dim == 4  # the one check, made by _draw_instance
 
     def test_spd_and_deterministic(self):
         a = random_correlation(3, np.random.Generator(np.random.Philox(77)))
@@ -256,9 +271,45 @@ class TestSearch:
         rec = rep.trials[0]
         row = rec.to_record()
         inst = wishart_instance(row["alpha"], np.array(row["sigma"]), tuple(row["nu"]))
-        redo = gpi_ratio(inst, row["samples"], row["estimate_seed"], workers=1)
+        redo = gpi_ratio(inst, row["samples"], row["estimate_seed"])
         assert redo.ratio == rec.result.ratio
         assert redo.violation_z == rec.result.violation_z
+
+    def test_escalated_trial_reports_its_rerun(self, monkeypatch):
+        # Scaling every first-pass statistic by 1/e forces each trial to escalate.
+        cfg = SearchConfig(
+            kind="wishart",
+            dims=(1, 3),
+            trials=4,
+            samples=2_000,
+            seed=37,
+            alpha_range=(2.0, 6.0),
+            nu_grid=(0.5, 1.0),
+        )
+        original = gpi.estimate_disjoint
+
+        def lowered_first_pass(params, query, n, seed, *rest):
+            est = original(params, query, n, seed, *rest)
+            if n != cfg.samples:
+                return est
+            return dataclasses.replace(
+                est, mean_log=est.mean_log - 1, stderr_log=est.stderr_log - 1,
+                max_log=est.max_log - 1,
+            )
+
+        monkeypatch.setattr(gpi, "estimate_disjoint", lowered_first_pass)
+        rep = search(cfg)
+        monkeypatch.undo()
+        for rec in rep.trials:
+            row = rec.to_record()
+            assert row["escalated"] is True
+            assert row["first_pass_z"] < -4
+            assert row["samples"] == 10 * cfg.samples
+            inst = wishart_instance(row["alpha"], np.array(row["sigma"]), tuple(row["nu"]))
+            redo = gpi_ratio(inst, row["samples"], row["escalation_seed"])
+            assert redo.ratio == row["ratio"]
+            assert redo.violation_z == row["violation_z"]
+            assert redo.verdict.value == row["verdict"]
 
     def test_config_validation(self):
         with pytest.raises(DomainError):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -28,7 +29,7 @@ from wishminors import (
 )
 from wishminors.gpi import WishartGpiInstance
 from wishminors.montecarlo import _embedded_stat_factory, _gram_logdet, _verdict_for
-from wishminors.wishart import Regime, _factor_draw
+from wishminors.wishart import _factor_draw
 from wishminors.streams import chunk_sizes, substreams
 from conftest import WORKER_COUNTS, random_spd, serial_chunks_above
 
@@ -334,7 +335,7 @@ def per_block_disjoint_stat(params, query):
     Larger blocks take their log-minors from ``_gram_logdet``, as the
     statistic does, so the comparison pins the unit-block batching bit for bit.
     """
-    method = "bartlett" if params.regime is Regime.NONSINGULAR else "gaussian-sum"
+    method = "bartlett" if params.nonsingular else "gaussian-sum"
     draw = _factor_draw(params, method)
     prefix = query.partition.prefix
 
@@ -398,6 +399,7 @@ class TestCompare:
         )
         assert rep.verdict is Verdict.INCONSISTENT
         assert rep.z == pytest.approx(20.0, rel=0.05)
+        assert dataclasses.replace(rep, z=0.4).verdict is Verdict.CONSISTENT
 
     def test_constant_statistic_consistent(self):
         rep = compare(0.0, make_estimate(mean_log=0.0, stderr_log=-math.inf))

@@ -8,7 +8,6 @@ import pytest
 from wishminors import (
     DomainError,
     NonIntegerAlpha,
-    Regime,
     SingularRegime,
     SpdMatrix,
     WishartParams,
@@ -26,10 +25,10 @@ def params_of(alpha, sigma):
 
 class TestWishartParams:
     def test_regimes(self):
-        assert params_of(2.5, np.eye(2)).regime is Regime.NONSINGULAR
-        assert params_of(0.5, np.eye(1)).regime is Regime.NONSINGULAR
-        assert params_of(2.0, np.eye(3)).regime is Regime.SINGULAR_INTEGER
-        assert params_of(1.0, np.eye(2)).regime is Regime.SINGULAR_INTEGER
+        assert params_of(2.5, np.eye(2)).nonsingular is True
+        assert params_of(0.5, np.eye(1)).nonsingular is True
+        assert params_of(2.0, np.eye(3)).nonsingular is False
+        assert params_of(1.0, np.eye(2)).nonsingular is False
 
     def test_inadmissible_shapes(self):
         with pytest.raises(DomainError):
