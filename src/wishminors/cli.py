@@ -319,7 +319,6 @@ def _print_gpi_summary(report) -> None:
     counts = {v.value: 0 for v in Verdict}
     for rec in report.trials:
         counts[rec.result.verdict.value] += 1
-    head = report.trials[:10]
     out = sys.stderr
     out.write(
         f"gpi search: {len(report.trials)} trials | "
@@ -327,11 +326,10 @@ def _print_gpi_summary(report) -> None:
         + "\n"
     )
     out.write(f"{'trial':>5} {'kind':>8} {'dim':>3} {'ratio':>12} {'z':>9} verdict\n")
-    for rec in head:
+    for rec in report.trials[:10]:
         res = rec.result
-        row = rec.to_record()
         out.write(
-            f"{rec.index:>5} {row['kind']:>8} {row['dim']:>3} "
+            f"{rec.index:>5} {rec.kind:>8} {res.instance.params.dim:>3} "
             f"{res.ratio:>12.6g} {res.violation_z:>9.3f} {res.verdict.value}"
             + (" (escalated)" if res.escalated else "")
             + "\n"
@@ -400,7 +398,7 @@ def build_parser() -> _Parser:
             ("--samples", dict(type=int, required=True, help="draws per trial")),
             "--seed", "--workers",
             ("--alpha-range", dict(
-                type=_range_of(float), default=None, help="shape range lo:hi (wishart)"
+                type=_range_of(float), default=None, help="shape range lo:hi (gaussian: 1)"
             )),
             ("--nu-grid", dict(
                 type=_list_of(float, "reals"), default=DEFAULT_NU_GRID,
@@ -408,8 +406,8 @@ def build_parser() -> _Parser:
             )),
             ("--rho-grid", dict(
                 type=_list_of(float, "reals"), default=None,
-                help="comma-separated correlations for a deterministic 2-d gaussian "
-                "sweep; attach a grid that starts with '-' with '=', as in "
+                help="comma-separated correlations for a deterministic sweep at dims 2; "
+                "attach a grid that starts with '-' with '=', as in "
                 "--rho-grid=-0.5,0.3",
             )),
             "--out",
@@ -432,6 +430,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.workers < 1:  # every subcommand takes --workers
+            raise DomainError(f"workers must be >= 1, got {args.workers}")
         return args.func(args)
     except InputError as exc:
         sys.stderr.write(f"wishminors: {exc}\n")

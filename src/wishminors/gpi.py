@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -48,20 +48,19 @@ _ESCALATION_FACTOR = 10
 class WishartGpiInstance:
     """Disjoint-minor instance with its exact denominator, computed once.
 
-    ``block_moments_log`` admits ``query`` and gives ``denominator_log``.
+    It stores the ``query`` of ``partition`` and ``nu``, which gives ``denominator_log``.
     The scalar Gaussian instance Z ~ N(0, R) is alpha = 1, scale R, unit blocks.
     """
 
     params: WishartParams
-    partition: BlockPartition
-    nu: tuple[float, ...]
-    query: MomentQuery = field(init=False, repr=False)
+    partition: InitVar[BlockPartition]
+    nu: InitVar[tuple[float, ...]]
+    query: MomentQuery = field(init=False)
     denominator_log: float = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        query = MomentQuery(partition=self.partition, nu=self.nu)
+    def __post_init__(self, partition: BlockPartition, nu: tuple[float, ...]) -> None:
+        query = MomentQuery(partition=partition, nu=nu)
         den = block_moments_log(self.params, query).log_value
-        object.__setattr__(self, "nu", query.nu)
         object.__setattr__(self, "query", query)
         object.__setattr__(self, "denominator_log", den)
 
@@ -166,11 +165,12 @@ def random_correlation(dim: int, rng: np.random.Generator) -> np.ndarray:
 class SearchConfig:
     """Axes of the randomized search.
 
-    ``dims`` is an inclusive (lo, hi) range.  Wishart instances use unit
-    blocks (one coordinate per minor) with a shape drawn uniformly from
-    ``alpha_range`` clamped above dim - 1.  When ``rho_grid`` is given
-    (Gaussian kind, dims fixed at 2), trial t uses the grid value
-    t mod len(grid) instead of a random correlation.
+    ``dims`` is an inclusive (lo, hi) range.  Instances use unit blocks with
+    a shape drawn uniformly from ``alpha_range`` clamped above dim - 1; the
+    range must reach above hi - 1 or be one integer shape >= 1.
+    ``kind="gaussian"`` means ``alpha_range`` (1, 1) and otherwise only labels
+    the trial lines.  With ``rho_grid`` (dims fixed at 2), trial t uses the
+    grid value t mod len(grid) instead of a random correlation.
     """
 
     kind: str
@@ -186,6 +186,10 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if self.kind not in ("wishart", "gaussian"):
             raise DomainError(f"kind must be 'wishart' or 'gaussian', got {self.kind!r}")
+        if self.kind == "gaussian":
+            if self.alpha_range not in (None, (1.0, 1.0)):
+                raise DomainError(f"gaussian search has alpha 1, got range {self.alpha_range}")
+            object.__setattr__(self, "alpha_range", (1.0, 1.0))
         check_seed(self.seed)
         lo, hi = self.dims
         if not (1 <= lo <= hi):
@@ -196,19 +200,19 @@ class SearchConfig:
             raise DomainError(f"samples per trial must be >= 2, got {self.samples}")
         if not self.nu_grid or any(v < 0 or not math.isfinite(v) for v in self.nu_grid):
             raise DomainError(f"exponent grid must be nonempty and >= 0, got {self.nu_grid}")
-        if self.kind == "wishart":
-            if self.alpha_range is None:
-                raise DomainError("wishart search needs an alpha range")
-            alo, ahi = self.alpha_range
-            finite = math.isfinite(alo) and math.isfinite(ahi)
-            if not (finite and alo <= ahi and ahi > hi - 1):
-                raise DomainError(
-                    f"alpha range {self.alpha_range} is not finite or leaves no "
-                    f"admissible shape for dimension {hi}"
-                )
+        if self.alpha_range is None:
+            raise DomainError("wishart search needs an alpha range")
+        alo, ahi = self.alpha_range
+        finite = math.isfinite(alo) and math.isfinite(ahi)
+        integer_shape = alo == ahi >= 1 and float(alo).is_integer()
+        if not (finite and alo <= ahi and (ahi > hi - 1 or integer_shape)):
+            raise DomainError(
+                f"alpha range {self.alpha_range} is not finite or leaves no "
+                f"admissible shape for dimension {hi}"
+            )
         if self.rho_grid is not None:
-            if self.kind != "gaussian" or (lo, hi) != (2, 2):
-                raise DomainError("rho grid applies only to gaussian kind with dims 2")
+            if (lo, hi) != (2, 2):
+                raise DomainError("rho grid applies only with dims 2")
             if any(not -1 < r < 1 for r in self.rho_grid):
                 raise DomainError(f"rho values must lie in (-1, 1), got {self.rho_grid}")
 
@@ -229,16 +233,15 @@ class TrialRecord:
         res = self.result
         params = res.instance.params
         scale = [[float(v) for v in row] for row in params.sigma.entries]
+        shape = {"alpha": float(params.alpha), "sigma": scale}
         if self.kind == "gaussian":
             shape = {"corr": scale}
-        else:
-            shape = {"alpha": float(params.alpha), "sigma": scale}
         return {
             "trial": self.index,
             "kind": self.kind,
             "dim": params.dim,
             **shape,
-            "nu": [float(v) for v in res.instance.nu],
+            "nu": [float(v) for v in res.instance.query.nu],
             "samples": res.numerator.n,
             "estimate_seed": self.estimate_seed,
             "escalation_seed": self.escalation_seed,
@@ -256,11 +259,11 @@ class TrialRecord:
 
 @dataclass(frozen=True, eq=False)
 class SearchReport:
-    config: SearchConfig
     trials: tuple[TrialRecord, ...]  # sorted by ascending violation_z
 
 
 def _draw_instance(config: SearchConfig, rng: np.random.Generator, index: int):
+    """Draws dim, scale, nu, then alpha: the range's one value or its clamped uniform draw."""
     lo, hi = config.dims
     d = int(rng.integers(lo, hi + 1))
     if config.rho_grid is not None:
@@ -269,18 +272,15 @@ def _draw_instance(config: SearchConfig, rng: np.random.Generator, index: int):
     else:
         corr = random_correlation(d, rng)
     nu = tuple(float(v) for v in rng.choice(np.asarray(config.nu_grid), size=d))
-    if config.kind == "gaussian":
-        alpha = 1.0
-    else:
-        alo, ahi = config.alpha_range
+    alo, ahi = config.alpha_range
+    alpha = float(alo)
+    if alo < ahi:
         low = max(alo, float(d - 1))
         alpha = float(rng.uniform(low, ahi))
         while alpha <= d - 1:  # pragma: no cover - measure-zero endpoint redraw
             alpha = float(rng.uniform(low, ahi))
     params = WishartParams(alpha=alpha, sigma=SpdMatrix.from_array(corr))
-    return WishartGpiInstance(
-        params=params, partition=BlockPartition((1,) * d), nu=nu
-    )
+    return WishartGpiInstance(params=params, partition=BlockPartition((1,) * d), nu=nu)
 
 
 def search(config: SearchConfig) -> SearchReport:
@@ -315,4 +315,4 @@ def search(config: SearchConfig) -> SearchReport:
 
     records = map_ordered(run_trial, range(config.trials), workers=config.workers)
     ranked = sorted(records, key=lambda r: (r.result.violation_z, r.index))
-    return SearchReport(config=config, trials=tuple(ranked))
+    return SearchReport(trials=tuple(ranked))

@@ -579,6 +579,8 @@ class TestOutOfRangeInputs:
                           "--samples", "100", "--seed", str(2**64)], id="gpi-seed-2**64"),
             pytest.param(["gpi", "--kind", "wishart", "--dims", "2", "--alpha-range", "1:inf",
                           "--trials", "1", "--samples", "100"], id="gpi-alpha-range-inf"),
+            pytest.param(["gpi", "--kind", "gaussian", "--dims", "2", "--alpha-range", "2:5",
+                          "--trials", "1", "--samples", "100"], id="gpi-gaussian-alpha-range"),
         ],
     )
     def test_exits_domain_with_one_line(self, tmp_path, argv):
@@ -592,6 +594,27 @@ class TestOutOfRangeInputs:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("wishminors:"), proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["exact", "--alpha", "3", "--partition", "1,1", "--nu", "1,1"],
+            ["verify", "--alpha", "3", "--partition", "1,1", "--nu", "1,1",
+             "--mode", "embedded", "--samples", "100"],
+            ["sample", "--alpha", "3", "--count", "3", "--method", "bartlett"],
+            ["gpi", "--kind", "gaussian", "--dims", "2", "--trials", "1", "--samples", "100"],
+        ],
+        ids=["exact", "verify", "sample", "gpi"],
+    )
+    def test_workers_below_one_exits_domain(self, tmp_path, capsys, argv, workers):
+        dest = tmp_path / "out.txt"
+        if argv[0] != "gpi":
+            argv = argv + ["--sigma", sigma_file(tmp_path, np.eye(2))]
+        code, out, err = run(capsys, *argv, "--out", str(dest), "--workers", workers)
+        assert code == EXIT_DOMAIN and out == ""
+        assert err == f"wishminors: workers must be >= 1, got {workers}\n"
+        assert not dest.exists()
 
     @pytest.mark.parametrize(
         "alpha, partition, nu, want_logs",

@@ -72,6 +72,13 @@ class TestInstances:
                 nu=(1.0, 1.0),
             )
 
+    def test_stores_the_query_once(self):
+        inst = gaussian_instance(corr2(0.3), (1, 2))
+        names = [f.name for f in dataclasses.fields(WishartGpiInstance)]
+        assert names == ["params", "query", "denominator_log"]
+        assert inst.query.nu == (1.0, 2.0) and inst.query.partition.sizes == (1, 1)
+        assert not hasattr(inst, "partition") and not hasattr(inst, "nu")
+
     def test_gaussian_rejects_negative_exponent(self):
         with pytest.raises(DomainError):
             gaussian_instance(corr2(0.3), (1.0, -1.0))
@@ -87,7 +94,7 @@ class TestGpiRatio:
                 WishartParams(alpha=4.0, sigma=SpdMatrix.from_array(sigma[i : i + 1, i : i + 1])),
                 v,
             )
-            for i, v in enumerate(inst.nu)
+            for i, v in enumerate(inst.query.nu)
         )
         assert res.denominator_log == pytest.approx(want, abs=1e-12)
 
@@ -311,18 +318,54 @@ class TestSearch:
             assert redo.violation_z == row["violation_z"]
             assert redo.verdict.value == row["verdict"]
 
+    def test_gaussian_kind_is_the_unit_alpha_range(self):
+        cfg = dict(kind="gaussian", dims=(1, 3), trials=4, samples=2_000, seed=31)
+        plain = search(SearchConfig(**cfg))
+        spelled = search(SearchConfig(**cfg, alpha_range=(1, 1)))
+        assert SearchConfig(**cfg).alpha_range == (1.0, 1.0)
+        assert [r.to_record() for r in plain.trials] == [r.to_record() for r in spelled.trials]
+        assert all(r.result.instance.params.alpha == 1.0 for r in plain.trials)
+
+    def test_single_integer_shape_at_any_dimension(self):
+        # alpha = 2 is singular for dims 3 and 4, which unit blocks admit.
+        cfg = SearchConfig(
+            kind="wishart", dims=(1, 4), trials=8, samples=2_000, seed=13,
+            alpha_range=(2, 2),
+        )
+        rows = [r.to_record() for r in search(cfg).trials]
+        assert {row["alpha"] for row in rows} == {2.0}
+        assert max(row["dim"] for row in rows) > 2
+
+    def test_rho_grid_serves_the_wishart_kind(self):
+        cfg = SearchConfig(
+            kind="wishart", dims=(2, 2), trials=3, samples=2_000, seed=19,
+            alpha_range=(1.5, 5.0), rho_grid=(0.3,),
+        )
+        for rec in search(cfg).trials:
+            row = rec.to_record()
+            assert row["sigma"] == [[1.0, 0.3], [0.3, 1.0]]
+            assert 1.5 <= row["alpha"] <= 5.0
+
     def test_config_validation(self):
         with pytest.raises(DomainError):
             SearchConfig(kind="other", dims=(1, 2), trials=1, samples=100, seed=0)
         with pytest.raises(DomainError):
             SearchConfig(kind="wishart", dims=(1, 2), trials=1, samples=100, seed=0)
-        with pytest.raises(DomainError):
+        # Reversed, or below hi - 1 and not one integer shape: dim 4 gets no shape.
+        for alpha_range in ((1.0, 2.5), (2.5, 2.5), (0.0, 0.0), (3.0, 2.0)):
+            with pytest.raises(DomainError):
+                SearchConfig(
+                    kind="wishart", dims=(2, 4), trials=1, samples=100, seed=0,
+                    alpha_range=alpha_range,
+                )
+        with pytest.raises(DomainError, match="alpha"):
             SearchConfig(
-                kind="wishart", dims=(2, 4), trials=1, samples=100, seed=0,
-                alpha_range=(1.0, 2.5),
+                kind="gaussian", dims=(2, 2), trials=1, samples=100, seed=0,
+                alpha_range=(2.0, 5.0),
             )
-        with pytest.raises(DomainError):
-            SearchConfig(
-                kind="gaussian", dims=(2, 3), trials=1, samples=100, seed=0,
-                rho_grid=(0.5,),
-            )
+        for kind in ("gaussian", "wishart"):
+            with pytest.raises(DomainError):
+                SearchConfig(
+                    kind=kind, dims=(2, 3), trials=1, samples=100, seed=0,
+                    alpha_range=(1, 1), rho_grid=(0.5,),
+                )

@@ -373,10 +373,9 @@ class TestUnitBlockBatching:
         instance = WishartGpiInstance(
             params=params_of(alpha, sigma), partition=BlockPartition(sizes), nu=nu
         )
-        query = MomentQuery(partition=instance.partition, nu=instance.nu)
 
         def run():
-            est = estimate_disjoint(instance.params, query, 3_000, seed=47)
+            est = estimate_disjoint(instance.params, instance.query, 3_000, seed=47)
             gpi = gpi_ratio(instance, 3_000, seed=47)
             return est, (gpi.numerator, gpi.ratio_log, gpi.ratio_stderr, gpi.violation_z)
 
