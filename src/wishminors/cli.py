@@ -308,8 +308,12 @@ def cmd_sample(args) -> int:
 def cmd_gpi(args) -> int:
     # Every SearchConfig field is a gpi flag of the same name.
     fields = dataclasses.fields(SearchConfig)
-    report = search(SearchConfig(**{f.name: getattr(args, f.name) for f in fields}))
-    records = [_record(args), *(rec.to_record() for rec in report.trials)]
+    config = SearchConfig(**{f.name: getattr(args, f.name) for f in fields})
+    report = search(config)
+    # The header echoes the resolved fields: a gaussian search runs at alpha range (1, 1).
+    header = _record(args)
+    header["config"].update((f.name, getattr(config, f.name)) for f in fields)
+    records = [header, *(rec.to_record() for rec in report.trials)]
     _write_lines([json.dumps(r, allow_nan=False) + "\n" for r in records], args.out)
     _print_gpi_summary(report)
     return EXIT_OK

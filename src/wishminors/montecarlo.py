@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DegenerateEstimate, DimensionMismatch, DomainError
 from .moments import MomentQuery, admit_disjoint, admit_embedded
 from .streams import chunk_sizes, map_ordered, substreams  # noqa: F401 - bench/spans.py wraps them
-from .wishart import WishartParams, _bartlett_dofs, _factor_draw, map_chunks
+from .wishart import WishartParams, _bartlett_dofs, _bartlett_variates, _factor_draw, map_chunks
 
 __all__ = [
     "McEstimate",
@@ -206,13 +206,45 @@ def _gram_logdet(rows: np.ndarray) -> np.ndarray:
     return np.where(np.all(pivots > 0, axis=0), logdet, -np.inf)
 
 
+def _unit_bartlett_stat(params: WishartParams, weighted: list[tuple[int, float]]):
+    # Row i of T = L A is T_ij = L_ij d_j + sum_{l=j+1..i} L_il z_lj, with
+    # d_j^2 the j-th chi-square and z_lj the normal at (l, j) of the triangle,
+    # so the unit minor X_ii = sum_j T_ij^2 needs neither A nor T.  The
+    # variates sit batch-last, and each step runs over contiguous draws.
+    chol = params.sigma.chol
+    dofs = _bartlett_dofs(params.alpha, params.dim)
+
+    def stat(rng: np.random.Generator, m: int) -> np.ndarray:
+        chisq, normals = _bartlett_variates(rng, dofs, m)
+        d = np.sqrt(chisq.T, order="C")
+        z = np.ascontiguousarray(normals.T)
+        s = np.zeros(m)
+        with np.errstate(divide="ignore"):  # an underflowed chi-square gives -inf
+            for i, nu_k in weighted:
+                t = chol[i, : i + 1, None] * d[: i + 1]
+                for l in range(1, i + 1):  # row l's normals z_l0 ... z_l,l-1
+                    t[:l] += chol[i, l] * z[l * (l - 1) // 2 :][:l]
+                s += nu_k * np.log(np.einsum("jm,jm->m", t, t))
+        return s
+
+    return stat
+
+
 def _disjoint_stat(params: WishartParams, query: MomentQuery):
-    # Block k of X = T T^T is the Gram matrix of the rows t[:, a:b] of T.
-    # A Bartlett T is lower triangular, so block rows a:b are zero past column b.
+    """Return ``stat(rng, m)``: per draw, the nu-weighted sum of block log-minors.
+
+    A nonsingular shape whose weighted blocks are all 1x1 reads its minors
+    from the Bartlett variates (``_unit_bartlett_stat``).  Any other query
+    draws T from ``_factor_draw``: block k of X = T T^T is the Gram matrix
+    of the rows ``t[:, a:b]``, and a Bartlett T is lower triangular, so
+    those rows are zero past column b.
+    """
     triangular = params.nonsingular
-    draw = _factor_draw(params, "bartlett" if triangular else "gaussian-sum")
     prefix = query.partition.prefix
     spans = [(a, b, nu_k) for a, b, nu_k in zip(prefix, prefix[1:], query.nu) if nu_k != 0.0]
+    if triangular and all(b - a == 1 for a, b, _ in spans):
+        return _unit_bartlett_stat(params, [(a, nu_k) for a, _, nu_k in spans])
+    draw = _factor_draw(params, "bartlett" if triangular else "gaussian-sum")
     # The unit blocks' log-minors come from one einsum and one log per chunk.
     # The einsum runs on T itself: a gathered copy would sum each row in a
     # different order.
@@ -241,7 +273,11 @@ def estimate_disjoint(
 
     Each draw is X = T T^T with T from the Bartlett factor (nonsingular
     shapes) or the Gaussian-sum factor (singular integer shapes).  A unit
-    block's minor is the squared norm of its row of T; a larger block's
+    block's minor is the squared norm of its row of T.  When the shape is
+    nonsingular and every weighted block is 1x1, those norms come straight
+    from the Bartlett variates, batch-last, with no factor built: the same
+    variates as ``sample_bartlett``'s, with minors that agree with its
+    draws to rounding.  Otherwise T is built, and a larger block's
     log-minor is the log-determinant of its rows' Gram matrix, from Gaussian
     elimination vectorized across the chunk (``_gram_logdet``) rather than a
     LAPACK call per draw, which would contend for OpenBLAS's buffer lock

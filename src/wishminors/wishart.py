@@ -1,7 +1,9 @@
 """Wishart parameters, samplers, and the one chunked-sampling driver.
 
 Both sampling methods write a draw as X = T T^T; ``_factor_draw`` draws T
-for the samplers and the disjoint-minor estimator alike.
+for the samplers and the disjoint-minor estimator alike, and
+``_bartlett_variates`` holds the Bartlett stream order that both it and the
+unit-block disjoint statistic read.
 
 A p x p Wishart with shape ``alpha`` and scale ``sigma`` is supported on
 positive definite matrices when ``alpha > p - 1`` (the nonsingular
@@ -98,15 +100,29 @@ def _bartlett_dofs(alpha: float, p: int) -> np.ndarray:
     return alpha - np.arange(p)
 
 
+def _bartlett_variates(rng: np.random.Generator, dofs: np.ndarray, m: int):
+    """``(chisq, normals)`` of m Bartlett triangles A, drawn in this order.
+
+    ``chisq[:, j] = A[j, j]**2 ~ chi2(dofs[j])``; ``normals`` holds the
+    subdiagonal in ``np.tril_indices(p, -1)`` order, so row l's normals sit
+    at columns ``l(l-1)/2 ... l(l-1)/2 + l - 1``.  The embedded statistic
+    shares only the chi-square prefix, and only when every dof is >= 2.
+    At p = 1 the scalar dof gives the same draws as a 1-array, sooner.
+    """
+    p = len(dofs)
+    chisq = rng.chisquare(float(dofs[0]) if p == 1 else dofs, size=(m, p))
+    normals = rng.standard_normal((m, p * (p - 1) // 2))
+    return chisq, normals
+
+
 def _factor_draw(params: WishartParams, method: str):
     """Return ``draw(rng, m)``, which gives m factors T, shape (m, p, k), with draw = T T^T.
 
     ``bartlett``: T = L A with L the scale's Cholesky factor and A the
-    Bartlett triangle (k = p; Muirhead 1982, Thm 3.2.14); it needs the
-    nonsingular regime.  The generator is consumed in a fixed order (all
-    chi-square diagonals, then all subdiagonal normals).  The embedded
-    statistic shares only the chi-square prefix: it draws no normals, and
-    its chi-squares match these only when every degree of freedom is >= 2.
+    Bartlett triangle (k = p; Muirhead 1982, Thm 3.2.14) built from
+    ``_bartlett_variates``; it needs the nonsingular regime.  The disjoint
+    statistic reads the same variates without this draw when every weighted
+    block is 1x1 (see ``montecarlo._disjoint_stat``).
     T is lower triangular, so rows ``a:b`` are zero from column ``b`` on and
     a block's Gram needs only its leading ``b`` columns.
     Each thread keeps one zeroed A across its calls and fills only its
@@ -127,8 +143,7 @@ def _factor_draw(params: WishartParams, method: str):
         scratch = threading.local()
 
         def draw(rng: np.random.Generator, m: int) -> np.ndarray:
-            chisq = rng.chisquare(dofs, size=(m, p))
-            normals = rng.standard_normal((m, p * (p - 1) // 2))
+            chisq, normals = _bartlett_variates(rng, dofs, m)
             a = getattr(scratch, "a", None)
             if a is None or len(a) < m:
                 a = scratch.a = np.zeros((m, p, p))  # the upper triangle stays zero

@@ -534,8 +534,11 @@ class TestRecordConfig:
               "--trials", "1", "--samples", "100"],
              {"dims": [2, 2], "alpha_range": [1.5, 4.0],
               "nu_grid": [0.5, 1.0, 1.5, 2.0, 3.0], "rho_grid": None}),
+            # The header echoes the range a gaussian search resolves to.
+            (["gpi", "--kind", "gaussian", "--dims", "2", "--trials", "1", "--samples", "100"],
+             {"kind": "gaussian", "dims": [2, 2], "alpha_range": [1.0, 1.0]}),
         ],
-        ids=["exact", "verify", "sample", "gpi"],
+        ids=["exact", "verify", "sample", "gpi", "gpi-gaussian"],
     )
     def test_config_is_the_parsed_namespace(self, tmp_path, capsys, argv, parsed):
         if argv[0] != "gpi":

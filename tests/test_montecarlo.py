@@ -232,13 +232,17 @@ class TestEstimateDisjoint:
 
     @pytest.mark.parametrize(
         "alpha, sampler, sizes",
-        [(4.5, sample_bartlett, (1, 2, 1)), (2.0, sample_gaussian_sum, (2, 1, 1))],
+        [
+            (4.5, sample_bartlett, (1, 2, 1)),
+            (2.0, sample_gaussian_sum, (2, 1, 1)),
+            (4.5, sample_bartlett, (1, 1, 1, 1)),
+        ],
     )
     def test_draws_match_sampler(self, rng, alpha, sampler, sizes):
         # The estimator's statistic is log prod det(X_kk)^nu_k of the sampler's draws.
         pr = params_of(alpha, random_spd(rng, 4, cond=20.0))
         part = BlockPartition(sizes)
-        q = MomentQuery(partition=part, nu=(1.0, 0.5, 1.5))
+        q = MomentQuery(partition=part, nu=(1.0, 0.5, 1.5, 1.0)[: len(sizes)])
         est = estimate_disjoint(pr, q, 3_000, seed=43)
         draws = sampler(pr, 3_000, seed=43).draws
         s = sum(
@@ -329,6 +333,67 @@ class TestGramLogdet:
         assert abs(compare(want, est).z) <= 4.0
 
 
+class TestUnitBartlettKernel:
+    """All-unit Bartlett minors come from the variates, with no factor drawn."""
+
+    @staticmethod
+    def matmul_reference(params, nu, rng, m):
+        """The statistic from T = L A, with A filled from the Bartlett stream order.
+
+        Also returns each draw's relative error bound: the bound on the
+        rounding of ``X_ii = |T_i|^2`` scales with the condition number
+        ``sum_j (|L_i| |A|)_j^2 / X_ii``, which is large only where the
+        terms of some ``T_ij`` cancel.
+        """
+        p = params.dim
+        chisq = rng.chisquare(params.alpha - np.arange(p), size=(m, p))
+        normals = rng.standard_normal((m, p * (p - 1) // 2))
+        a = np.zeros((m, p, p))
+        a[:, np.arange(p), np.arange(p)] = np.sqrt(chisq)
+        low_r, low_c = np.tril_indices(p, -1)
+        a[:, low_r, low_c] = normals
+        chol = params.sigma.chol
+        t = np.matmul(chol, a)
+        x = np.einsum("mij,mij->mi", t, t)
+        bound = np.matmul(np.abs(chol), np.abs(a))
+        cond = np.einsum("mij,mij->mi", bound, bound) / np.where(x > 0, x, 1.0)
+        with np.errstate(divide="ignore"):
+            return np.log(x) @ np.asarray(nu), cond @ np.asarray(nu)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 5])
+    @pytest.mark.parametrize("edge", [1.5, 1e-7], ids=["interior", "boundary"])
+    def test_matches_matmul_reference(self, rng, p, edge):
+        # alpha = p - 1 + 1e-7 leaves the last chi-square 1e-7 degrees of
+        # freedom, so it underflows to 0; at p = 1 the minor is then 0.
+        params = params_of(p - 1 + edge, random_spd(rng, p, cond=20.0))
+        nu = (1.0, 0.5, 1.5, 0.0, 2.0)[:p]
+        query = MomentQuery(partition=BlockPartition((1,) * p), nu=nu)
+        m = 1563
+        got_rng = np.random.Generator(np.random.Philox(61))
+        got = wishminors.montecarlo._disjoint_stat(params, query)(got_rng, m)
+        want_rng = np.random.Generator(np.random.Philox(61))
+        want, cond = self.matmul_reference(params, nu, want_rng, m)
+        assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state)
+        assert not np.any(np.isnan(got))
+        assert np.array_equal(np.isneginf(got), np.isneginf(want))
+        if p == 1 and edge == 1e-7:
+            assert np.any(np.isneginf(want))
+        finite = np.isfinite(want)
+        rel = np.abs(np.expm1(got[finite] - want[finite]))
+        assert np.all(rel <= 1e-14 * cond[finite])
+
+    def test_estimate_draws_no_factor(self, monkeypatch):
+        def refuse(rng, m):
+            raise AssertionError("Bartlett factor drawn")
+
+        q = MomentQuery(partition=BlockPartition((1, 1, 1, 1)), nu=(1.0, 0.5, 1.5, 1.0))
+        pr = params_of(6.0, np.diag([1.0, 2.0, 1.0, 3.0]))
+        want = disjoint_moment_block_diag_log(pr, q)
+        monkeypatch.setattr(wishminors.montecarlo, "_factor_draw", lambda params, method: refuse)
+        est = estimate_disjoint(pr, q, 2_000, seed=53, workers=2)
+        assert abs(compare(want, est).z) <= 4.0
+
+
 def per_block_disjoint_stat(params, query):
     """The disjoint statistic with one einsum and one log per unit block.
 
@@ -357,7 +422,14 @@ def per_block_disjoint_stat(params, query):
 
 
 class TestUnitBlockBatching:
-    """All unit blocks share one einsum and one log, with the per-block values bit for bit."""
+    """The statistic's unit blocks agree with one einsum and one log per block.
+
+    On mixed and Gaussian-sum partitions the unit blocks share one einsum
+    and one log, with the per-block values bit for bit.  All-unit Bartlett
+    partitions read their minors from the variates instead
+    (``TestUnitBartlettKernel``), so there the per-draw values agree to
+    rounding, and the estimates below still come out equal.
+    """
 
     @pytest.mark.parametrize(
         "alpha, sizes, nu",
