@@ -110,10 +110,11 @@ def estimate_log_statistic(stat_fn, n: int, seed: int, workers: int = 1) -> McEs
     substream each; chunk log-sum-exp reductions are merged in fixed chunk
     order under a running-max shift, so the result depends only on
     ``(n, seed)``, not on ``workers``, and never overflows on the way to the
-    final mean.
+    final mean.  The standard error needs ``n >= 2``, which is checked
+    before any draw.
     """
-    if int(n) != n or n < 1:
-        raise DomainError(f"sample count must be a positive integer, got {n!r}")
+    if int(n) != n or n < 2:
+        raise DomainError(f"sample count must be an integer >= 2, got {n!r}")
     n = int(n)
 
     def run(task):
@@ -121,12 +122,14 @@ def estimate_log_statistic(stat_fn, n: int, seed: int, workers: int = 1) -> McEs
         s = np.asarray(stat_fn(rng, m), dtype=float)
         if s.shape != (m,):
             raise DimensionMismatch(f"statistic returned shape {s.shape}, wanted ({m},)")
-        top = float(np.max(s))  # NaN if any draw is NaN
+        # The array methods skip np.max's and np.sum's Python dispatch, which
+        # costs about 5 us per chunk, next to a few hundred for a gpi chunk.
+        top = float(s.max())  # NaN if any draw is NaN
         if not top < math.inf:
             raise DegenerateEstimate(f"statistic drew a non-finite value {top}")
         if top == -math.inf:
             return -math.inf, m, top
-        log_mean = top + math.log(float(np.sum(np.exp(s - top)))) - math.log(m)
+        log_mean = top + math.log(float(np.exp(s - top).sum())) - math.log(m)
         return log_mean, m, top
 
     log_means, sizes, tops = zip(*map_chunks(run, n, seed, workers))
@@ -140,7 +143,7 @@ def estimate_log_statistic(stat_fn, n: int, seed: int, workers: int = 1) -> McEs
     scaled = np.exp(chunk_log_means - shift)
     weights = np.asarray(sizes, dtype=float)
     mean_log = shift + math.log(float(np.dot(weights, scaled)) / n)
-    spread = float(np.std(scaled, ddof=1)) if n_chunks >= 2 else 0.0
+    spread = float(np.std(scaled, ddof=1))  # n >= 2 draws make at least 2 chunks
     if spread > 0.0:
         stderr_log = shift + math.log(spread) - 0.5 * math.log(n_chunks)
     else:
@@ -184,83 +187,82 @@ def estimate_embedded(
     return estimate_log_statistic(_embedded_stat_factory(params, query), n, seed, workers)
 
 
-def _gram_logdet(rows: np.ndarray) -> np.ndarray:
-    """log det(R Rᵀ) for each (k, n) block R of an (m, k, n) batch of rows.
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _gram_logdet(rows: list[np.ndarray]) -> np.ndarray:
+    """log det(R Rᵀ) per draw for the block R whose rows are ``rows``.
 
-    Gaussian elimination without pivoting (the Gram is positive definite),
-    one array step per block row across the whole batch.  The Gram goes
-    through ``gemm`` (a transposed copy, not ``syrk``) and the batch then
-    sits on the last axis, so every step runs over contiguous memory.  A
-    pivot that is not positive, or NaN, marks a numerically singular block,
-    which gets -inf.
+    Row r is batch-last, shape (c_r, m): its leading c_r columns, the rest
+    being zero.  Gram entry (r, s) sums over the min(c_r, c_s) columns both
+    rows hold; ``g[r][s]`` keeps the lower triangle.  Gaussian elimination
+    without pivoting (the Gram is positive definite) runs one vector step
+    per entry across the whole batch.  For finite rows, a pivot that is not
+    positive, or NaN, marks a numerically singular block, which gets -inf;
+    the errstate keeps those steps from warning.
     """
-    g = np.matmul(rows, np.ascontiguousarray(rows.transpose(0, 2, 1)))
-    g = np.ascontiguousarray(g.transpose(1, 2, 0))
-    k = len(g)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for j in range(k - 1):
-            ratio = g[j + 1 :, j] / g[j, j]
-            g[j + 1 :, j + 1 :] -= ratio[:, None] * g[j, None, j + 1 :]
-        pivots = g[np.arange(k), np.arange(k)]
-        logdet = np.log(pivots).sum(axis=0)
-    return np.where(np.all(pivots > 0, axis=0), logdet, -np.inf)
-
-
-def _unit_bartlett_stat(params: WishartParams, weighted: list[tuple[int, float]]):
-    # Row i of T = L A is T_ij = L_ij d_j + sum_{l=j+1..i} L_il z_lj, with
-    # d_j^2 the j-th chi-square and z_lj the normal at (l, j) of the triangle,
-    # so the unit minor X_ii = sum_j T_ij^2 needs neither A nor T.  The
-    # variates sit batch-last, and each step runs over contiguous draws.
-    chol = params.sigma.chol
-    dofs = _bartlett_dofs(params.alpha, params.dim)
-
-    def stat(rng: np.random.Generator, m: int) -> np.ndarray:
-        chisq, normals = _bartlett_variates(rng, dofs, m)
-        d = np.sqrt(chisq.T, order="C")
-        z = np.ascontiguousarray(normals.T)
-        s = np.zeros(m)
-        with np.errstate(divide="ignore"):  # an underflowed chi-square gives -inf
-            for i, nu_k in weighted:
-                t = chol[i, : i + 1, None] * d[: i + 1]
-                for l in range(1, i + 1):  # row l's normals z_l0 ... z_l,l-1
-                    t[:l] += chol[i, l] * z[l * (l - 1) // 2 :][:l]
-                s += nu_k * np.log(np.einsum("jm,jm->m", t, t))
-        return s
-
-    return stat
+    g = [
+        [np.einsum("jm,jm->m", a[: len(b)], b[: len(a)]) for b in rows[: r + 1]]
+        for r, a in enumerate(rows)
+    ]
+    logdet = np.log(g[0][0])
+    for j in range(1, len(g)):
+        for r in range(j, len(g)):
+            ratio = g[r][j - 1] / g[j - 1][j - 1]
+            for s in range(j, r + 1):
+                g[r][s] -= ratio * g[s][j - 1]
+        logdet += np.log(g[j][j])
+    # The first pivot is a sum of squares, whose log is -inf at zero.  A later
+    # pivot can come out negative or NaN, whose log is NaN: fmax turns that
+    # into -inf.  A 1x1 block skips the call: one more numpy call per unit
+    # block cost the gpi_search benchmark about 5 % of its op CPU at two
+    # workers on a 2-vCPU VM.
+    return np.fmax(logdet, -np.inf, out=logdet) if len(g) > 1 else logdet
 
 
 def _disjoint_stat(params: WishartParams, query: MomentQuery):
     """Return ``stat(rng, m)``: per draw, the nu-weighted sum of block log-minors.
 
-    A nonsingular shape whose weighted blocks are all 1x1 reads its minors
-    from the Bartlett variates (``_unit_bartlett_stat``).  Any other query
-    draws T from ``_factor_draw``: block k of X = T T^T is the Gram matrix
-    of the rows ``t[:, a:b]``, and a Bartlett T is lower triangular, so
-    those rows are zero past column b.
+    Block k of X = T T^T is the Gram matrix of T's rows ``a:b``, so every
+    weighted block's log-minor is ``_gram_logdet`` of those rows, batch-last.
+    A nonsingular shape builds them from the Bartlett variates without A or
+    T: row i of T = L A is ``T_ij = L_ij d_j + sum_{l=j+1..i} L_il z_lj``,
+    with d_j^2 the j-th chi-square and z_lj the normal at (l, j) of A, and
+    keeps its i + 1 leading entries.  A singular shape copies the
+    Gaussian-sum T batch-last once per chunk.
     """
-    triangular = params.nonsingular
     prefix = query.partition.prefix
     spans = [(a, b, nu_k) for a, b, nu_k in zip(prefix, prefix[1:], query.nu) if nu_k != 0.0]
-    if triangular and all(b - a == 1 for a, b, _ in spans):
-        return _unit_bartlett_stat(params, [(a, nu_k) for a, _, nu_k in spans])
-    draw = _factor_draw(params, "bartlett" if triangular else "gaussian-sum")
-    # The unit blocks' log-minors come from one einsum and one log per chunk.
-    # The einsum runs on T itself: a gathered copy would sum each row in a
-    # different order.
-    unit = [a for a, b, _ in spans if b - a == 1]
+    if params.nonsingular:
+        chol = params.sigma.chol
+        dofs = _bartlett_dofs(params.alpha, params.dim)
+
+        def chunk_rows(rng: np.random.Generator, m: int):
+            chisq, normals = _bartlett_variates(rng, dofs, m)
+            d = np.sqrt(chisq.T, order="C")
+            z = np.ascontiguousarray(normals.T)
+
+            def rows(a: int, b: int) -> list[np.ndarray]:
+                block = []
+                for i in range(a, b):
+                    t = chol[i, : i + 1, None] * d[: i + 1]
+                    for l in range(1, i + 1):  # row l's normals z_l0 ... z_l,l-1
+                        t[:l] += chol[i, l] * z[l * (l - 1) // 2 :][:l]
+                    block.append(t)
+                return block
+
+            return rows
+
+    else:
+        draw = _factor_draw(params, "gaussian-sum")
+
+        def chunk_rows(rng: np.random.Generator, m: int):
+            t = np.ascontiguousarray(draw(rng, m).transpose(1, 2, 0))
+            return lambda a, b: list(t[a:b])
 
     def stat(rng: np.random.Generator, m: int) -> np.ndarray:
-        t = draw(rng, m)
-        if unit:
-            with np.errstate(divide="ignore"):  # an underflowed chi-square gives -inf
-                unit_logs = iter(np.log(np.einsum("mij,mij->im", t, t)[unit]))
+        rows = chunk_rows(rng, m)
         s = np.zeros(m)
         for a, b, nu_k in spans:
-            if b - a == 1:
-                s += nu_k * next(unit_logs)
-            else:
-                s += nu_k * _gram_logdet(t[:, a:b, :b] if triangular else t[:, a:b])
+            s += nu_k * _gram_logdet(rows(a, b))
         return s
 
     return stat
@@ -271,21 +273,16 @@ def estimate_disjoint(
 ) -> McEstimate:
     """Estimate the joint moment of disjoint diagonal-block minors.
 
-    Each draw is X = T T^T with T from the Bartlett factor (nonsingular
-    shapes) or the Gaussian-sum factor (singular integer shapes).  A unit
-    block's minor is the squared norm of its row of T.  When the shape is
-    nonsingular and every weighted block is 1x1, those norms come straight
-    from the Bartlett variates, batch-last, with no factor built: the same
-    variates as ``sample_bartlett``'s, with minors that agree with its
-    draws to rounding.  Otherwise T is built, and a larger block's
-    log-minor is the log-determinant of its rows' Gram matrix, from Gaussian
-    elimination vectorized across the chunk (``_gram_logdet``) rather than a
-    LAPACK call per draw, which would contend for OpenBLAS's buffer lock
-    across workers.  The Bartlett T is lower triangular, so the Gram of block
-    rows ``a:b`` uses only their leading ``b`` columns.  A draw whose block
-    is numerically singular gets ``-inf``.  Each worker thread reuses one
-    zeroed Bartlett triangle across its chunks, while every chunk's T is a
-    fresh array owned by the statistic (see ``wishart._factor_draw``).
+    Each draw is X = T T^T with T the Bartlett factor (nonsingular shapes)
+    or the Gaussian-sum factor (singular integer shapes), from the same
+    variates as ``sample_bartlett`` or ``sample_gaussian_sum``; the minors
+    agree with the samplers' draws to rounding.  A block's log-minor is the
+    log-determinant of its rows' Gram matrix, from Gaussian elimination
+    vectorized across the chunk (``_gram_logdet``) rather than a LAPACK
+    call per draw, which would contend for OpenBLAS's buffer lock across
+    workers.  A nonsingular shape builds only the weighted blocks' rows of
+    T, batch-last, straight from the Bartlett variates.  A draw whose block
+    is numerically singular gets ``-inf``.
     """
     admit_disjoint(params, query)
     return estimate_log_statistic(_disjoint_stat(params, query), n, seed, workers)

@@ -1,9 +1,9 @@
 """Wishart parameters, samplers, and the one chunked-sampling driver.
 
-Both sampling methods write a draw as X = T T^T; ``_factor_draw`` draws T
-for the samplers and the disjoint-minor estimator alike, and
-``_bartlett_variates`` holds the Bartlett stream order that both it and the
-unit-block disjoint statistic read.
+Both sampling methods write a draw as X = T T^T, with T from
+``_factor_draw``.  ``_bartlett_variates`` holds the Bartlett stream order,
+which the triangular sampler and the disjoint-minor statistic both read;
+the Gaussian-sum T serves the sampler and the singular disjoint statistic.
 
 A p x p Wishart with shape ``alpha`` and scale ``sigma`` is supported on
 positive definite matrices when ``alpha > p - 1`` (the nonsingular
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,14 +119,9 @@ def _factor_draw(params: WishartParams, method: str):
 
     ``bartlett``: T = L A with L the scale's Cholesky factor and A the
     Bartlett triangle (k = p; Muirhead 1982, Thm 3.2.14) built from
-    ``_bartlett_variates``; it needs the nonsingular regime.  The disjoint
-    statistic reads the same variates without this draw when every weighted
-    block is 1x1 (see ``montecarlo._disjoint_stat``).
-    T is lower triangular, so rows ``a:b`` are zero from column ``b`` on and
-    a block's Gram needs only its leading ``b`` columns.
-    Each thread keeps one zeroed A across its calls and fills only its
-    diagonal and subdiagonal, so a chunk costs no fresh zeroed pages; the
-    returned T is a new array that belongs to the caller.
+    ``_bartlett_variates``; it needs the nonsingular regime.  Only the
+    samplers draw it: the disjoint statistic builds its block rows of T
+    from the same variates (see ``montecarlo._disjoint_stat``).
 
     ``gaussian-sum``: T = L G^T with G an alpha x p standard normal matrix
     (k = alpha), so T T^T sums alpha outer products of N(0, sigma) vectors;
@@ -140,14 +134,10 @@ def _factor_draw(params: WishartParams, method: str):
         dofs = _bartlett_dofs(params.alpha, p)
         rows = np.arange(p)
         low_r, low_c = np.tril_indices(p, k=-1)
-        scratch = threading.local()
 
         def draw(rng: np.random.Generator, m: int) -> np.ndarray:
             chisq, normals = _bartlett_variates(rng, dofs, m)
-            a = getattr(scratch, "a", None)
-            if a is None or len(a) < m:
-                a = scratch.a = np.zeros((m, p, p))  # the upper triangle stays zero
-            a = a[:m]
+            a = np.zeros((m, p, p))
             a[:, rows, rows] = np.sqrt(chisq)
             a[:, low_r, low_c] = normals
             return np.matmul(scale_chol, a)

@@ -231,6 +231,25 @@ class TestVerify:
         # Wick: E(X11 X22) = alpha^2 + 2 alpha rho^2 = 5 here
         assert rec["mean"] == pytest.approx(5.0, abs=5 * rec["stderr"])
 
+    @pytest.mark.parametrize("mode", ["embedded", "disjoint"])
+    @pytest.mark.parametrize(
+        "sigma", [np.eye(2), [[1.0, 0.5], [0.5, 1.0]]], ids=["blockdiag", "coupled"]
+    )
+    def test_one_sample_exits_domain_before_drawing(
+        self, tmp_path, capsys, monkeypatch, mode, sigma
+    ):
+        # One draw has no standard error, with or without an exact value.
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew before refusing one sample")
+
+        monkeypatch.setattr(wishminors.montecarlo, "map_chunks", refuse)
+        code, out, err = run(
+            capsys, "verify", "--alpha", "3", "--sigma", sigma_file(tmp_path, sigma),
+            "--partition", "1,1", "--nu", "1,1", "--mode", mode, "--samples", "1",
+        )
+        assert code == EXIT_DOMAIN and out == ""
+        assert err == "wishminors: sample count must be an integer >= 2, got 1\n"
+
     def test_csv_record_quotes_a_note_with_commas(self, tmp_path, capsys):
         path = sigma_file(tmp_path, [[1.0, 0.3], [0.3, 1.0]])
         argv = ("verify", "--alpha", "3", "--sigma", path, "--partition", "1,1",

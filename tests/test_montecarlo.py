@@ -127,6 +127,13 @@ class TestEngine:
         with pytest.raises(DomainError):
             estimate_log_statistic(lambda r, m: np.zeros(m), 10, seed=1, workers=0)
 
+        def refuse(rng, m):
+            raise AssertionError("drew before refusing one sample")
+
+        # One draw has no standard error; it is refused before any draw.
+        with pytest.raises(DomainError, match=">= 2"):
+            estimate_log_statistic(refuse, 1, seed=1)
+
 
 class TestEstimateEmbedded:
     def test_zero_exponents(self):
@@ -275,6 +282,11 @@ class TestEstimateDisjoint:
         assert got == want
 
 
+def batch_last(rows):
+    """The rows of an (m, k, n) block as the list of k batch-last (n, m) rows."""
+    return list(rows.transpose(1, 2, 0))
+
+
 class TestGramLogdet:
     """Batched elimination gives slogdet's log-determinant of the Gram of each row block."""
 
@@ -284,40 +296,53 @@ class TestGramLogdet:
         return _factor_draw(params, "bartlett")(rng, m)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 6])
-    @pytest.mark.parametrize("view", ["square", "rows"])
+    @pytest.mark.parametrize("view", ["square", "rows", "triangular"])
     def test_matches_slogdet(self, rng, k, view):
         t = self.bartlett_rows(rng)
-        # Non-contiguous views of T, as the disjoint statistic passes them.
-        rows = t[:, :k, :k] if view == "square" else t[:, 2 : 2 + k]
-        sign, want = np.linalg.slogdet(rows @ rows.transpose(0, 2, 1))
+        block = t[:, :k, :k] if view == "square" else t[:, 2 : 2 + k]
+        sign, want = np.linalg.slogdet(block @ block.transpose(0, 2, 1))
         assert np.all(sign > 0)
+        if view == "triangular":
+            # Row i of a lower-triangular T holds i + 1 entries, as the
+            # disjoint statistic passes a Bartlett block.
+            rows = [np.ascontiguousarray(t[:, i, : i + 1].T) for i in range(2, 2 + k)]
+        else:
+            rows = batch_last(block)  # non-contiguous views
         np.testing.assert_allclose(_gram_logdet(rows), want, rtol=1e-12)
 
     @pytest.mark.parametrize("sizes", [(4, 4, 4), (2, 1, 3)])
-    def test_leading_columns_are_bitwise(self, rng, sizes):
-        # A Bartlett T is lower triangular, so block rows a:b are zero from
-        # column b on, and the disjoint statistic passes only the first b.
+    def test_truncated_rows_match_zero_padded(self, rng, sizes):
+        # A Bartlett T is lower triangular, so row i is zero from column
+        # i + 1 on, and the disjoint statistic passes only its leading entries.
         p = sum(sizes)
         params = params_of(p + 0.5, random_spd(rng, p, cond=20.0))
         t = _factor_draw(params, "bartlett")(rng, 1563)
+        assert np.all(np.triu(t, k=1) == 0.0)
         prefix = np.cumsum((0,) + sizes)
         for a, b in zip(prefix, prefix[1:]):
-            assert np.all(t[:, a:b, b:] == 0.0)
-            assert np.array_equal(_gram_logdet(t[:, a:b, :b]), _gram_logdet(t[:, a:b]))
+            truncated = [np.ascontiguousarray(t[:, i, : i + 1].T) for i in range(a, b)]
+            padded = batch_last(t[:, a:b])
+            np.testing.assert_allclose(
+                _gram_logdet(truncated), _gram_logdet(padded), rtol=1e-13, atol=1e-13
+            )
 
-    @pytest.mark.parametrize("singular", ["zero-row", "repeated-row", "leading-zero-row"])
+    @pytest.mark.parametrize(
+        "singular", ["zero-row", "repeated-row", "leading-zero-row", "nan-row"]
+    )
     def test_singular_block_is_minus_inf(self, rng, singular):
         rows = rng.standard_normal((50, 4, 6))
         if singular == "zero-row":
             rows[:, 2] = 0.0
         elif singular == "repeated-row":
             rows[:, 3] = rows[:, 1]
-        else:
+        elif singular == "leading-zero-row":
             rows[:, 0] = 0.0
+        else:
+            rows[:, 1] = np.nan
         rows[0] = rng.standard_normal((4, 6))  # one regular block in the batch
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _gram_logdet(rows)
+            got = _gram_logdet(batch_last(rows))
         assert not np.any(np.isnan(got))
         assert np.isfinite(got[0])
         assert np.all(got[1:] == -np.inf)
@@ -334,16 +359,17 @@ class TestGramLogdet:
 
 
 class TestUnitBartlettKernel:
-    """All-unit Bartlett minors come from the variates, with no factor drawn."""
+    """Bartlett block minors come from the variates, with no factor drawn."""
 
     @staticmethod
-    def matmul_reference(params, nu, rng, m):
+    def matmul_reference(params, sizes, nu, rng, m):
         """The statistic from T = L A, with A filled from the Bartlett stream order.
 
-        Also returns each draw's relative error bound: the bound on the
-        rounding of ``X_ii = |T_i|^2`` scales with the condition number
-        ``sum_j (|L_i| |A|)_j^2 / X_ii``, which is large only where the
-        terms of some ``T_ij`` cancel.
+        Unit blocks take ``X_ii = |T_i|^2``, larger blocks slogdet of their
+        rows' Gram.  Also returns each draw's relative error bound for the
+        unit blocks: the rounding of ``X_ii`` scales with the condition
+        number ``sum_j (|L_i| |A|)_j^2 / X_ii``, which is large only where
+        the terms of some ``T_ij`` cancel.
         """
         p = params.dim
         chisq = rng.chisquare(params.alpha - np.arange(p), size=(m, p))
@@ -357,49 +383,72 @@ class TestUnitBartlettKernel:
         x = np.einsum("mij,mij->mi", t, t)
         bound = np.matmul(np.abs(chol), np.abs(a))
         cond = np.einsum("mij,mij->mi", bound, bound) / np.where(x > 0, x, 1.0)
+        s, unit_cond = np.zeros(m), np.zeros(m)
+        prefix = np.cumsum((0,) + sizes)
         with np.errstate(divide="ignore"):
-            return np.log(x) @ np.asarray(nu), cond @ np.asarray(nu)
+            for a_k, b_k, nu_k in zip(prefix, prefix[1:], nu):
+                if b_k - a_k == 1:
+                    s += nu_k * np.log(x[:, a_k])
+                    unit_cond += nu_k * cond[:, a_k]
+                else:
+                    rows = t[:, a_k:b_k]
+                    s += nu_k * np.linalg.slogdet(rows @ rows.transpose(0, 2, 1))[1]
+        return s, unit_cond
 
-    @pytest.mark.parametrize("p", [1, 2, 3, 5])
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            pytest.param((1,), id="1"),
+            pytest.param((1, 1), id="2"),
+            pytest.param((1, 1, 1), id="3"),
+            pytest.param((1,) * 5, id="5"),
+            pytest.param((2, 1, 3), id="2,1,3"),
+            pytest.param((4, 4, 4), id="4,4,4"),
+        ],
+    )
     @pytest.mark.parametrize("edge", [1.5, 1e-7], ids=["interior", "boundary"])
-    def test_matches_matmul_reference(self, rng, p, edge):
+    def test_matches_matmul_reference(self, rng, sizes, edge):
         # alpha = p - 1 + 1e-7 leaves the last chi-square 1e-7 degrees of
         # freedom, so it underflows to 0; at p = 1 the minor is then 0.
+        p = sum(sizes)
         params = params_of(p - 1 + edge, random_spd(rng, p, cond=20.0))
-        nu = (1.0, 0.5, 1.5, 0.0, 2.0)[:p]
-        query = MomentQuery(partition=BlockPartition((1,) * p), nu=nu)
+        nu = (1.0, 0.5, 1.5, 0.0, 2.0)[: len(sizes)]
+        query = MomentQuery(partition=BlockPartition(sizes), nu=nu)
         m = 1563
         got_rng = np.random.Generator(np.random.Philox(61))
         got = wishminors.montecarlo._disjoint_stat(params, query)(got_rng, m)
         want_rng = np.random.Generator(np.random.Philox(61))
-        want, cond = self.matmul_reference(params, nu, want_rng, m)
+        want, cond = self.matmul_reference(params, sizes, nu, want_rng, m)
         assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state)
         assert not np.any(np.isnan(got))
         assert np.array_equal(np.isneginf(got), np.isneginf(want))
         if p == 1 and edge == 1e-7:
             assert np.any(np.isneginf(want))
+        # The Gram elimination and LAPACK's LU round differently.
+        rtol = 1e-12 if max(sizes) > 1 else 0.0
         finite = np.isfinite(want)
         rel = np.abs(np.expm1(got[finite] - want[finite]))
-        assert np.all(rel <= 1e-14 * cond[finite])
+        assert np.all(rel <= 1e-14 * cond[finite] + rtol)
 
     def test_estimate_draws_no_factor(self, monkeypatch):
         def refuse(rng, m):
             raise AssertionError("Bartlett factor drawn")
 
-        q = MomentQuery(partition=BlockPartition((1, 1, 1, 1)), nu=(1.0, 0.5, 1.5, 1.0))
-        pr = params_of(6.0, np.diag([1.0, 2.0, 1.0, 3.0]))
-        want = disjoint_moment_block_diag_log(pr, q)
+        cases = [
+            ((1, 1, 1, 1), (1.0, 0.5, 1.5, 1.0), 6.0, np.diag([1.0, 2.0, 1.0, 3.0])),
+            ((4, 4, 4), (1.0, 0.5, 1.5), 14.0, np.diag(np.arange(1.0, 13.0))),
+        ]
         monkeypatch.setattr(wishminors.montecarlo, "_factor_draw", lambda params, method: refuse)
-        est = estimate_disjoint(pr, q, 2_000, seed=53, workers=2)
-        assert abs(compare(want, est).z) <= 4.0
+        for sizes, nu, alpha, sigma in cases:
+            q = MomentQuery(partition=BlockPartition(sizes), nu=nu)
+            pr = params_of(alpha, sigma)
+            want = disjoint_moment_block_diag_log(pr, q)
+            est = estimate_disjoint(pr, q, 2_000, seed=53, workers=2)
+            assert abs(compare(want, est).z) <= 4.0
 
 
 def per_block_disjoint_stat(params, query):
-    """The disjoint statistic with one einsum and one log per unit block.
-
-    Larger blocks take their log-minors from ``_gram_logdet``, as the
-    statistic does, so the comparison pins the unit-block batching bit for bit.
-    """
+    """The disjoint statistic from the factor T and one slogdet per weighted block."""
     method = "bartlett" if params.nonsingular else "gaussian-sum"
     draw = _factor_draw(params, method)
     prefix = query.partition.prefix
@@ -408,27 +457,19 @@ def per_block_disjoint_stat(params, query):
         t = draw(rng, m)
         s = np.zeros(m)
         for a, b, nu_k in zip(prefix, prefix[1:], query.nu):
-            if nu_k == 0.0:
-                continue
-            rows = t[:, a:b]
-            if b - a == 1:
-                with np.errstate(divide="ignore"):
-                    s += nu_k * np.log(np.einsum("mj,mj->m", rows[:, 0], rows[:, 0]))
-            else:
-                s += nu_k * _gram_logdet(rows)
+            if nu_k != 0.0:
+                rows = t[:, a:b]
+                s += nu_k * np.linalg.slogdet(rows @ rows.transpose(0, 2, 1))[1]
         return s
 
     return stat
 
 
 class TestUnitBlockBatching:
-    """The statistic's unit blocks agree with one einsum and one log per block.
+    """Estimates and GPI ratios agree with a per-block slogdet of the factor's draws.
 
-    On mixed and Gaussian-sum partitions the unit blocks share one einsum
-    and one log, with the per-block values bit for bit.  All-unit Bartlett
-    partitions read their minors from the variates instead
-    (``TestUnitBartlettKernel``), so there the per-draw values agree to
-    rounding, and the estimates below still come out equal.
+    The reference draws T from ``_factor_draw``, which reads the same
+    variates in the same order as the statistic, so the two agree to rounding.
     """
 
     @pytest.mark.parametrize(
@@ -449,11 +490,12 @@ class TestUnitBlockBatching:
         def run():
             est = estimate_disjoint(instance.params, instance.query, 3_000, seed=47)
             gpi = gpi_ratio(instance, 3_000, seed=47)
-            return est, (gpi.numerator, gpi.ratio_log, gpi.ratio_stderr, gpi.violation_z)
+            return (est.mean_log, est.stderr_log, est.max_log,
+                    gpi.ratio_log, gpi.ratio_stderr, gpi.violation_z)
 
         got = run()
         monkeypatch.setattr(wishminors.montecarlo, "_disjoint_stat", per_block_disjoint_stat)
-        assert got == run()
+        assert got == pytest.approx(run(), rel=1e-12)
 
 
 class TestCompare:

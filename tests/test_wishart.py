@@ -207,9 +207,10 @@ class TestBatchLayout:
         assert peak <= 1.25 * held
 
 
-class TestBartlettScratch:
-    def test_reused_triangle_gives_fresh_factors(self, rng):
-        # One thread; the chunk sizes make the per-thread triangle shrink and grow.
+class TestBartlettFactor:
+    def test_each_chunk_gets_fresh_factors(self, rng):
+        # Chunks of different sizes on one thread: each factor matches its
+        # own variates, and no later chunk writes into an earlier one's factor.
         pr = params_of(7.5, random_spd(rng, 5, cond=10.0))
         p = pr.dim
         diag = np.arange(p)
