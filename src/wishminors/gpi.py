@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import InitVar, dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -165,7 +166,8 @@ def random_correlation(dim: int, rng: np.random.Generator) -> np.ndarray:
 class SearchConfig:
     """Axes of the randomized search.
 
-    ``dims`` is an inclusive (lo, hi) range.  Instances use unit blocks with
+    ``dims`` is an inclusive (lo, hi) range; it, ``trials`` and ``samples``
+    must be integers, else DomainError.  Instances use unit blocks with
     a shape drawn uniformly from ``alpha_range`` clamped above dim - 1; the
     range must reach above hi - 1 or be one integer shape >= 1.
     ``kind="gaussian"`` means ``alpha_range`` (1, 1) and otherwise only labels
@@ -192,12 +194,12 @@ class SearchConfig:
             object.__setattr__(self, "alpha_range", (1.0, 1.0))
         check_seed(self.seed)
         lo, hi = self.dims
-        if not (1 <= lo <= hi):
-            raise DomainError(f"dimension range must satisfy 1 <= lo <= hi, got {self.dims}")
-        if self.trials < 1:
-            raise DomainError(f"trials must be >= 1, got {self.trials}")
-        if self.samples < 2:
-            raise DomainError(f"samples per trial must be >= 2, got {self.samples}")
+        if not (isinstance(lo, Integral) and isinstance(hi, Integral) and 1 <= lo <= hi):
+            raise DomainError(f"dimension range must be integers 1 <= lo <= hi, got {self.dims}")
+        if not (isinstance(self.trials, Integral) and self.trials >= 1):
+            raise DomainError(f"trials must be an integer >= 1, got {self.trials!r}")
+        if not (isinstance(self.samples, Integral) and self.samples >= 2):
+            raise DomainError(f"samples per trial must be an integer >= 2, got {self.samples!r}")
         if not self.nu_grid or any(v < 0 or not math.isfinite(v) for v in self.nu_grid):
             raise DomainError(f"exponent grid must be nonempty and >= 0, got {self.nu_grid}")
         if self.alpha_range is None:

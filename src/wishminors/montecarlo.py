@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DegenerateEstimate, DimensionMismatch, DomainError
 from .moments import MomentQuery, admit_disjoint, admit_embedded
 from .streams import chunk_sizes, map_ordered, substreams  # noqa: F401 - bench/spans.py wraps them
-from .wishart import WishartParams, _bartlett_dofs, _bartlett_variates, _factor_draw, map_chunks
+from .wishart import WishartParams, _bartlett_dofs, _factor_rows, _gram, map_chunks
 
 __all__ = [
     "McEstimate",
@@ -191,18 +191,13 @@ def estimate_embedded(
 def _gram_logdet(rows: list[np.ndarray]) -> np.ndarray:
     """log det(R Rᵀ) per draw for the block R whose rows are ``rows``.
 
-    Row r is batch-last, shape (c_r, m): its leading c_r columns, the rest
-    being zero.  Gram entry (r, s) sums over the min(c_r, c_s) columns both
-    rows hold; ``g[r][s]`` keeps the lower triangle.  Gaussian elimination
-    without pivoting (the Gram is positive definite) runs one vector step
-    per entry across the whole batch.  For finite rows, a pivot that is not
-    positive, or NaN, marks a numerically singular block, which gets -inf;
-    the errstate keeps those steps from warning.
+    The rows are batch-last, as ``_gram`` takes them.  Gaussian elimination
+    without pivoting (the Gram is positive definite) runs on its lower
+    triangle, one vector step per entry across the whole batch.  For finite
+    rows, a pivot that is not positive, or NaN, marks a numerically singular
+    block, which gets -inf; the errstate keeps those steps from warning.
     """
-    g = [
-        [np.einsum("jm,jm->m", a[: len(b)], b[: len(a)]) for b in rows[: r + 1]]
-        for r, a in enumerate(rows)
-    ]
+    g = _gram(rows)
     logdet = np.log(g[0][0])
     for j in range(1, len(g)):
         for r in range(j, len(g)):
@@ -222,41 +217,13 @@ def _disjoint_stat(params: WishartParams, query: MomentQuery):
     """Return ``stat(rng, m)``: per draw, the nu-weighted sum of block log-minors.
 
     Block k of X = T T^T is the Gram matrix of T's rows ``a:b``, so every
-    weighted block's log-minor is ``_gram_logdet`` of those rows, batch-last.
-    A nonsingular shape builds them from the Bartlett variates without A or
-    T: row i of T = L A is ``T_ij = L_ij d_j + sum_{l=j+1..i} L_il z_lj``,
-    with d_j^2 the j-th chi-square and z_lj the normal at (l, j) of A, and
-    keeps its i + 1 leading entries.  A singular shape copies the
-    Gaussian-sum T batch-last once per chunk.
+    weighted block's log-minor is ``_gram_logdet`` of the rows that
+    ``wishart._factor_rows`` builds for it: the Bartlett T when
+    ``alpha > p - 1``, else the Gaussian-sum T.
     """
     prefix = query.partition.prefix
     spans = [(a, b, nu_k) for a, b, nu_k in zip(prefix, prefix[1:], query.nu) if nu_k != 0.0]
-    if params.nonsingular:
-        chol = params.sigma.chol
-        dofs = _bartlett_dofs(params.alpha, params.dim)
-
-        def chunk_rows(rng: np.random.Generator, m: int):
-            chisq, normals = _bartlett_variates(rng, dofs, m)
-            d = np.sqrt(chisq.T, order="C")
-            z = np.ascontiguousarray(normals.T)
-
-            def rows(a: int, b: int) -> list[np.ndarray]:
-                block = []
-                for i in range(a, b):
-                    t = chol[i, : i + 1, None] * d[: i + 1]
-                    for l in range(1, i + 1):  # row l's normals z_l0 ... z_l,l-1
-                        t[:l] += chol[i, l] * z[l * (l - 1) // 2 :][:l]
-                    block.append(t)
-                return block
-
-            return rows
-
-    else:
-        draw = _factor_draw(params, "gaussian-sum")
-
-        def chunk_rows(rng: np.random.Generator, m: int):
-            t = np.ascontiguousarray(draw(rng, m).transpose(1, 2, 0))
-            return lambda a, b: list(t[a:b])
+    chunk_rows = _factor_rows(params, "bartlett" if params.nonsingular else "gaussian-sum")
 
     def stat(rng: np.random.Generator, m: int) -> np.ndarray:
         rows = chunk_rows(rng, m)
@@ -274,15 +241,15 @@ def estimate_disjoint(
     """Estimate the joint moment of disjoint diagonal-block minors.
 
     Each draw is X = T T^T with T the Bartlett factor (nonsingular shapes)
-    or the Gaussian-sum factor (singular integer shapes), from the same
-    variates as ``sample_bartlett`` or ``sample_gaussian_sum``; the minors
-    agree with the samplers' draws to rounding.  A block's log-minor is the
+    or the Gaussian-sum factor (singular integer shapes), from
+    ``wishart._factor_rows``: at the same ``(n, seed)`` it is the T of
+    ``sample_bartlett`` or ``sample_gaussian_sum``, and each block's Gram
+    equals the samplers' diagonal block bit for bit.  Only the weighted
+    blocks' rows of T are built, batch-last.  A block's log-minor is the
     log-determinant of its rows' Gram matrix, from Gaussian elimination
     vectorized across the chunk (``_gram_logdet``) rather than a LAPACK
     call per draw, which would contend for OpenBLAS's buffer lock across
-    workers.  A nonsingular shape builds only the weighted blocks' rows of
-    T, batch-last, straight from the Bartlett variates.  A draw whose block
-    is numerically singular gets ``-inf``.
+    workers.  A draw whose block is numerically singular gets ``-inf``.
     """
     admit_disjoint(params, query)
     return estimate_log_statistic(_disjoint_stat(params, query), n, seed, workers)

@@ -1,9 +1,8 @@
 """Wishart parameters, samplers, and the one chunked-sampling driver.
 
-Both sampling methods write a draw as X = T T^T, with T from
-``_factor_draw``.  ``_bartlett_variates`` holds the Bartlett stream order,
-which the triangular sampler and the disjoint-minor statistic both read;
-the Gaussian-sum T serves the sampler and the singular disjoint statistic.
+Both sampling methods write a draw as X = T T^T.  ``_factor_rows`` builds
+T's rows and ``_gram`` their Gram, for the samplers and the disjoint-minor
+statistic alike; ``_bartlett_variates`` holds the Bartlett stream order.
 
 A p x p Wishart with shape ``alpha`` and scale ``sigma`` is supported on
 positive definite matrices when ``alpha > p - 1`` (the nonsingular
@@ -114,35 +113,46 @@ def _bartlett_variates(rng: np.random.Generator, dofs: np.ndarray, m: int):
     return chisq, normals
 
 
-def _factor_draw(params: WishartParams, method: str):
-    """Return ``draw(rng, m)``, which gives m factors T, shape (m, p, k), with draw = T T^T.
+def _factor_rows(params: WishartParams, method: str):
+    """Return ``chunk_rows(rng, m)``, which draws m factors T and returns ``rows``.
+
+    ``rows(a, b)`` builds only rows ``a:b`` of T, as a list of batch-last
+    arrays, row i of shape (c_i, m); block ``a:b`` of X = T T^T is their ``_gram``.
 
     ``bartlett``: T = L A with L the scale's Cholesky factor and A the
-    Bartlett triangle (k = p; Muirhead 1982, Thm 3.2.14) built from
-    ``_bartlett_variates``; it needs the nonsingular regime.  Only the
-    samplers draw it: the disjoint statistic builds its block rows of T
-    from the same variates (see ``montecarlo._disjoint_stat``).
+    Bartlett triangle of ``_bartlett_variates`` (Muirhead 1982, Thm 3.2.14),
+    for the nonsingular regime.  Row i is ``T_ij = L_ij d_j + sum_{l=j+1..i}
+    L_il z_lj``, with d_j^2 the j-th chi-square and z_lj the normal at (l, j)
+    of A; it keeps its c_i = i + 1 leading entries, T being lower triangular.
 
     ``gaussian-sum``: T = L G^T with G an alpha x p standard normal matrix
-    (k = alpha), so T T^T sums alpha outer products of N(0, sigma) vectors;
-    it needs a positive integer alpha and covers the singular regime.
+    (c_i = alpha), so T T^T sums alpha outer products of N(0, sigma)
+    vectors; it needs a positive integer alpha and covers the singular
+    regime.  Its rows are views of one GEMM, ``z @ L^T``.
     """
     p = params.dim
-    scale_chol = params.sigma.chol
+    chol = params.sigma.chol
     if method == "bartlett":
         params.require_nonsingular("the triangular sampler")
         dofs = _bartlett_dofs(params.alpha, p)
-        rows = np.arange(p)
-        low_r, low_c = np.tril_indices(p, k=-1)
 
-        def draw(rng: np.random.Generator, m: int) -> np.ndarray:
+        def chunk_rows(rng: np.random.Generator, m: int):
             chisq, normals = _bartlett_variates(rng, dofs, m)
-            a = np.zeros((m, p, p))
-            a[:, rows, rows] = np.sqrt(chisq)
-            a[:, low_r, low_c] = normals
-            return np.matmul(scale_chol, a)
+            d = np.sqrt(chisq.T, order="C")
+            z = np.ascontiguousarray(normals.T)
 
-        return draw
+            def rows(a: int, b: int) -> list[np.ndarray]:
+                block = []
+                for i in range(a, b):
+                    t = chol[i, : i + 1, None] * d[: i + 1]
+                    for l in range(1, i + 1):  # row l's normals z_l0 ... z_l,l-1
+                        t[:l] += chol[i, l] * z[l * (l - 1) // 2 :][:l]
+                    block.append(t)
+                return block
+
+            return rows
+
+        return chunk_rows
     alpha = params.alpha
     if not float(alpha).is_integer() or alpha < 1:
         raise NonIntegerAlpha(
@@ -150,35 +160,52 @@ def _factor_draw(params: WishartParams, method: str):
         )
     n_terms = int(alpha)
 
-    def draw(rng: np.random.Generator, m: int) -> np.ndarray:
+    def chunk_rows(rng: np.random.Generator, m: int):
         # One flat GEMM; a batched (m, n_terms, p) product is ~2x slower at n_terms=1.
-        z = rng.standard_normal((m * n_terms, p)) @ scale_chol.T
-        return z.reshape(m, n_terms, p).transpose(0, 2, 1)
+        z = rng.standard_normal((m * n_terms, p)) @ chol.T
+        t = z.T.reshape(p, m, n_terms).transpose(0, 2, 1)
+        return lambda a, b: list(t[a:b])
 
-    return draw
+    return chunk_rows
+
+
+def _gram(rows: list[np.ndarray]) -> list[list[np.ndarray]]:
+    """Lower triangle of the Gram R R^T of batch-last rows, one length-m vector per entry.
+
+    Row r has shape (c_r, m): its leading c_r columns, the rest being zero.
+    ``g[r][s]`` (s <= r) sums over the min(c_r, c_s) columns both rows hold.
+    """
+    return [
+        [np.einsum("jm,jm->m", a[: len(b)], b[: len(a)]) for b in rows[: r + 1]]
+        for r, a in enumerate(rows)
+    ]
 
 
 def _sample_batch(params, method, count, seed, workers) -> SampleBatch:
-    """Draw ``count`` matrices T T^T from ``_factor_draw(params, method)`` as a batch.
+    """Draw ``count`` matrices T T^T from ``_factor_rows(params, method)`` as a batch.
 
-    Each chunk writes its draws, and for the bartlett method its factors,
-    straight into its own rows of the two preallocated arrays.
+    Each chunk writes its draws, the mirrored ``_gram`` of all of T's rows,
+    and for the bartlett method its zero-padded factors straight into its
+    own rows of the two preallocated arrays, with no BLAS call per draw.
     """
-    draw = _factor_draw(params, method)
+    chunk_rows = _factor_rows(params, method)
     if int(count) != count or count < 0:
         raise DomainError(f"draw count must be a nonnegative integer, got {count!r}")
-    shape = (int(count), params.dim, params.dim)
+    p = params.dim
+    shape = (int(count), p, p)
     draws = np.empty(shape)
-    factors = np.empty(shape) if method == "bartlett" else None
+    factors = np.zeros(shape) if method == "bartlett" else None
+    # Row-major, the order of _gram's lower triangle and of the Bartlett rows' entries.
+    low_r, low_c = np.tril_indices(p)
 
     def run(task):
         rng, start, m = task
-        t = draw(rng, m)
-        x = np.matmul(t, t.transpose(0, 2, 1))
-        rows = slice(start, start + m)
-        np.multiply(0.5, x + x.transpose(0, 2, 1), out=draws[rows])
+        t = chunk_rows(rng, m)(0, p)
+        g = np.array([g_rs for g_r in _gram(t) for g_rs in g_r]).T
+        x = draws[start : start + m]
+        x[:, low_r, low_c] = x[:, low_c, low_r] = g
         if factors is not None:
-            factors[rows] = t
+            factors[start : start + m, low_r, low_c] = np.concatenate(t).T
 
     map_chunks(run, shape[0], seed, workers)
     draws.setflags(write=False)

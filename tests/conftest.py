@@ -4,6 +4,7 @@ import pytest
 
 import wishminors.wishart
 from wishminors import BlockPartition, SpdMatrix
+from wishminors.wishart import _bartlett_dofs, _bartlett_variates
 
 # Worker counts a result must not depend on; the last two exceed the chunk count.
 WORKER_COUNTS = (1, 2, 3, 65, 128)
@@ -30,6 +31,37 @@ def random_partition(rng, total, max_blocks=None) -> BlockPartition:
     cuts = np.sort(rng.choice(np.arange(1, total), size=d - 1, replace=False))
     bounds = np.concatenate(([0], cuts, [total]))
     return BlockPartition(tuple(int(b - a) for a, b in zip(bounds[:-1], bounds[1:])))
+
+
+def reference_factor(params, method):
+    """``draw(rng, m)``: m dense factors T, shape (m, p, k), with X = T T^T.
+
+    ``bartlett`` fills the Bartlett triangle A from ``_bartlett_variates``
+    and returns ``L @ A``; ``gaussian-sum`` reshapes ``z @ L^T`` of the
+    same normals the package draws.  ``L @ A`` goes through BLAS, so it
+    rounds differently from the package's row recurrence; the Gaussian-sum
+    T holds the package's rows bit for bit.
+    """
+    p, chol = params.dim, params.sigma.chol
+    if method == "bartlett":
+        dofs = _bartlett_dofs(params.alpha, p)
+        diag, (low_r, low_c) = np.arange(p), np.tril_indices(p, k=-1)
+
+        def draw(rng, m):
+            chisq, normals = _bartlett_variates(rng, dofs, m)
+            a = np.zeros((m, p, p))
+            a[:, diag, diag] = np.sqrt(chisq)
+            a[:, low_r, low_c] = normals
+            return np.matmul(chol, a)
+
+        return draw
+    k = int(params.alpha)
+
+    def draw(rng, m):
+        z = rng.standard_normal((m * k, p)) @ chol.T
+        return z.reshape(m, k, p).transpose(0, 2, 1)
+
+    return draw
 
 
 @pytest.fixture

@@ -346,6 +346,18 @@ class TestSearch:
             assert row["sigma"] == [[1.0, 0.3], [0.3, 1.0]]
             assert 1.5 <= row["alpha"] <= 5.0
 
+    @pytest.mark.parametrize(
+        "bad", [{"trials": 2.5}, {"samples": 100.5}, {"dims": (1.5, 2)}],
+        ids=["trials", "samples", "dims"],
+    )
+    def test_config_refuses_non_integer_counts(self, bad):
+        # The config refuses them itself: a search would otherwise raise a raw
+        # TypeError (trials), refuse only inside its first trial (samples)
+        # or run (dims).
+        cfg = dict(kind="wishart", dims=(1, 2), trials=2, samples=100, seed=1, alpha_range=(1, 4))
+        with pytest.raises(DomainError, match="integer"):
+            SearchConfig(**{**cfg, **bad})
+
     def test_config_validation(self):
         with pytest.raises(DomainError):
             SearchConfig(kind="other", dims=(1, 2), trials=1, samples=100, seed=0)

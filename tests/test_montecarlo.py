@@ -29,9 +29,9 @@ from wishminors import (
 )
 from wishminors.gpi import WishartGpiInstance
 from wishminors.montecarlo import _embedded_stat_factory, _gram_logdet, _verdict_for
-from wishminors.wishart import _factor_draw
 from wishminors.streams import chunk_sizes, substreams
-from conftest import WORKER_COUNTS, random_spd, serial_chunks_above
+from wishminors.wishart import _gram
+from conftest import WORKER_COUNTS, random_spd, reference_factor, serial_chunks_above
 
 
 def params_of(alpha, sigma):
@@ -293,7 +293,7 @@ class TestGramLogdet:
     @staticmethod
     def bartlett_rows(rng, m=400, p=8):
         params = params_of(9.5, random_spd(rng, p, cond=20.0))
-        return _factor_draw(params, "bartlett")(rng, m)
+        return reference_factor(params, "bartlett")(rng, m)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 6])
     @pytest.mark.parametrize("view", ["square", "rows", "triangular"])
@@ -316,7 +316,7 @@ class TestGramLogdet:
         # i + 1 on, and the disjoint statistic passes only its leading entries.
         p = sum(sizes)
         params = params_of(p + 0.5, random_spd(rng, p, cond=20.0))
-        t = _factor_draw(params, "bartlett")(rng, 1563)
+        t = reference_factor(params, "bartlett")(rng, 1563)
         assert np.all(np.triu(t, k=1) == 0.0)
         prefix = np.cumsum((0,) + sizes)
         for a, b in zip(prefix, prefix[1:]):
@@ -430,27 +430,11 @@ class TestUnitBartlettKernel:
         rel = np.abs(np.expm1(got[finite] - want[finite]))
         assert np.all(rel <= 1e-14 * cond[finite] + rtol)
 
-    def test_estimate_draws_no_factor(self, monkeypatch):
-        def refuse(rng, m):
-            raise AssertionError("Bartlett factor drawn")
-
-        cases = [
-            ((1, 1, 1, 1), (1.0, 0.5, 1.5, 1.0), 6.0, np.diag([1.0, 2.0, 1.0, 3.0])),
-            ((4, 4, 4), (1.0, 0.5, 1.5), 14.0, np.diag(np.arange(1.0, 13.0))),
-        ]
-        monkeypatch.setattr(wishminors.montecarlo, "_factor_draw", lambda params, method: refuse)
-        for sizes, nu, alpha, sigma in cases:
-            q = MomentQuery(partition=BlockPartition(sizes), nu=nu)
-            pr = params_of(alpha, sigma)
-            want = disjoint_moment_block_diag_log(pr, q)
-            est = estimate_disjoint(pr, q, 2_000, seed=53, workers=2)
-            assert abs(compare(want, est).z) <= 4.0
-
 
 def per_block_disjoint_stat(params, query):
     """The disjoint statistic from the factor T and one slogdet per weighted block."""
     method = "bartlett" if params.nonsingular else "gaussian-sum"
-    draw = _factor_draw(params, method)
+    draw = reference_factor(params, method)
     prefix = query.partition.prefix
 
     def stat(rng, m):
@@ -468,7 +452,7 @@ def per_block_disjoint_stat(params, query):
 class TestUnitBlockBatching:
     """Estimates and GPI ratios agree with a per-block slogdet of the factor's draws.
 
-    The reference draws T from ``_factor_draw``, which reads the same
+    The reference draws T from ``reference_factor``, which reads the same
     variates in the same order as the statistic, so the two agree to rounding.
     """
 
@@ -496,6 +480,40 @@ class TestUnitBlockBatching:
         got = run()
         monkeypatch.setattr(wishminors.montecarlo, "_disjoint_stat", per_block_disjoint_stat)
         assert got == pytest.approx(run(), rel=1e-12)
+
+
+class TestOneFactor:
+    """The samplers and the disjoint statistic read one T from ``wishart._factor_rows``."""
+
+    @pytest.mark.parametrize(
+        "alpha, sampler",
+        [(6.0, sample_bartlett), (2.0, sample_gaussian_sum)],
+        ids=["bartlett", "gaussian-sum"],
+    )
+    def test_sampler_blocks_are_the_eliminated_grams(self, rng, monkeypatch, alpha, sampler):
+        # At alpha 2 the 4x4 shape is singular, so the statistic reads the
+        # Gaussian-sum T; at alpha 6 it reads the Bartlett T.
+        sizes, n, seed = (1, 2, 1), 1001, 29
+        params = params_of(alpha, random_spd(rng, sum(sizes), cond=20.0))
+        query = MomentQuery(partition=BlockPartition(sizes), nu=(1.0, 0.5, 1.5))
+        grams = []
+
+        def recording_gram(rows):
+            g = _gram(rows)
+            grams.append([[v.copy() for v in g_r] for g_r in g])  # the elimination overwrites g
+            return g
+
+        monkeypatch.setattr(wishminors.montecarlo, "_gram", recording_gram)
+        estimate_disjoint(params, query, n, seed, workers=1)
+        draws = sampler(params, n, seed).draws
+        prefix = query.partition.prefix
+        assert len(grams) == len(sizes) * 64
+        for k, (a, b) in enumerate(zip(prefix, prefix[1:])):
+            chunks = grams[k :: len(sizes)]  # chunks run in order at one worker
+            for r in range(b - a):
+                for s in range(r + 1):
+                    got = np.concatenate([g[r][s] for g in chunks])
+                    assert np.array_equal(got, draws[:, a + r, a + s])
 
 
 class TestCompare:

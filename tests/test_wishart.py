@@ -15,8 +15,8 @@ from wishminors import (
     sample_gaussian_sum,
 )
 from wishminors.streams import chunk_sizes, substreams
-from wishminors.wishart import _factor_draw
-from conftest import WORKER_COUNTS, random_spd, serial_chunks_above
+from wishminors.wishart import _factor_rows
+from conftest import WORKER_COUNTS, random_spd, reference_factor, serial_chunks_above
 
 
 def params_of(alpha, sigma):
@@ -172,7 +172,7 @@ class TestBatchLayout:
         # disjoint rows of one array; a short switch interval interleaves them.
         pr = params_of(7.0, random_spd(rng, 6, cond=10.0))
         count = 1001
-        draw = _factor_draw(pr, method)
+        draw = reference_factor(pr, method)
         t = np.concatenate([
             draw(g, m) for g, m in zip(substreams(13, 64), chunk_sizes(count, 64))
         ])
@@ -183,9 +183,16 @@ class TestBatchLayout:
             batch = sampler(pr, count, seed=13, workers=workers)
         finally:
             sys.setswitchinterval(interval)
-        assert np.array_equal(batch.draws, 0.5 * (x + x.transpose(0, 2, 1)))
+        # The sampler's row recurrence and Gram round differently from the
+        # reference's BLAS products: entry (r, s) may move by 1e-14 of
+        # sqrt(x_rr x_ss), the scale of |T_r| |T_s| (largest seen 5e-16).
+        norms = np.sqrt(np.diagonal(x, axis1=1, axis2=2))
+        scale = norms[:, :, None] * norms[:, None, :]
+        assert np.all(np.abs(batch.draws - x) <= 1e-14 * scale)
+        assert np.array_equal(batch.draws, batch.draws.transpose(0, 2, 1))
         if method == "bartlett":
-            assert np.array_equal(batch.factors, t)
+            assert np.all(np.abs(batch.factors - t) <= 1e-14 * norms[:, :, None])
+            assert np.all(np.triu(batch.factors, k=1) == 0.0)
         assert not batch.draws.flags.writeable
         assert batch.factors is None or not batch.factors.flags.writeable
 
@@ -209,25 +216,27 @@ class TestBatchLayout:
 
 class TestBartlettFactor:
     def test_each_chunk_gets_fresh_factors(self, rng):
-        # Chunks of different sizes on one thread: each factor matches its
-        # own variates, and no later chunk writes into an earlier one's factor.
+        # Chunks of different sizes on one thread: each chunk's rows match
+        # the dense L A of its own variates, row i keeps its i + 1 leading
+        # entries, and no later chunk writes into an earlier one's rows.
         pr = params_of(7.5, random_spd(rng, 5, cond=10.0))
         p = pr.dim
-        diag = np.arange(p)
-        low_r, low_c = np.tril_indices(p, k=-1)
-        draw = _factor_draw(pr, "bartlett")
+        chunk_rows = _factor_rows(pr, "bartlett")
+        reference = reference_factor(pr, "bartlett")
         gen, ref = np.random.default_rng(17), np.random.default_rng(17)
         returned = []
         for m in (9, 4, 12, 4):
-            t = draw(gen, m)
-            a = np.zeros((m, p, p))
-            a[:, diag, diag] = np.sqrt(ref.chisquare(7.5 - diag, size=(m, p)))
-            a[:, low_r, low_c] = ref.standard_normal((m, p * (p - 1) // 2))
-            assert np.array_equal(t, np.matmul(pr.sigma.chol, a))
+            rows = chunk_rows(gen, m)(0, p)
+            t = reference(ref, m)
+            assert repr(gen.bit_generator.state) == repr(ref.bit_generator.state)
             assert np.all(np.triu(t, k=1) == 0.0)
-            returned.append((t, t.copy()))
-        for t, kept in returned:
-            assert np.array_equal(t, kept)
+            for i, row in enumerate(rows):
+                assert row.shape == (i + 1, m)
+                np.testing.assert_allclose(row, t[:, i, : i + 1].T, rtol=1e-13, atol=1e-13)
+            returned.append([(row, row.copy()) for row in rows])
+        for chunk in returned:
+            for row, kept in chunk:
+                assert np.array_equal(row, kept)
 
 
 class TestSamplerAgreement:
