@@ -10,8 +10,8 @@ inconsistency.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
-import itertools
 import json
 import math
 import os
@@ -44,7 +44,9 @@ from .montecarlo import (
     exp_or_inf,
 )
 from .specfun import log_multigamma_ratio  # noqa: F401 - bench/spans.py wraps it
-from .wishart import WishartParams, sample_bartlett, sample_gaussian_sum
+from .streams import check_seed
+from .wishart import WishartParams, check_count, chunk_sampler, map_chunks
+from .wishart import sample_bartlett, sample_gaussian_sum  # noqa: F401 - bench/spans.py wraps it
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -76,16 +78,23 @@ def finite_or_inf_str(x: float):
     return "inf" if x > 0 else "-inf"
 
 
-def _write_lines(lines, out: str | None) -> None:
-    """Write the strings in ``lines`` to ``out``, or to stdout when ``out`` is None."""
+@contextlib.contextmanager
+def _opened(out: str | None):
+    """``out`` opened for writing, or stdout when ``out`` is None; OSError becomes InputError."""
     if out is None:
-        sys.stdout.writelines(lines)
+        yield sys.stdout
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.writelines(lines)
+            yield fh
     except OSError as exc:
         raise InputError(f"cannot write {out}: {exc}") from exc
+
+
+def _write_lines(lines, out: str | None) -> None:
+    """Write the strings in ``lines`` to ``out``, or to stdout when ``out`` is None."""
+    with _opened(out) as fh:
+        fh.writelines(lines)
 
 
 def write_matrix_csv(matrix, path: str) -> None:
@@ -275,33 +284,37 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _draw_lines(draws, up_r, up_c):
-    """The CSV rows of each draw's upper triangle, one string per draw.
-
-    ``tolist`` yields Python floats, whose ``repr`` is ``fmt_float``.
-    """
-    tails = [f",{r},{c}," for r, c in zip(up_r.tolist(), up_c.tolist())]
-    for t, draw in enumerate(draws):
-        yield "".join([f"{t}{tail}{v!r}\n" for tail, v in zip(tails, draw[up_r, up_c].tolist())])
-
-
 def cmd_sample(args) -> int:
     if args.out is None:
         raise InputError("sample requires --out <path> for the draws CSV")
     sigma = load_sigma(args.sigma)
     params = WishartParams(alpha=args.alpha, sigma=sigma)
-    if args.method == "bartlett":
-        batch = sample_bartlett(params, args.count, args.seed, args.workers)
-    else:
-        batch = sample_gaussian_sum(params, args.count, args.seed, args.workers)
+    # Every refusal comes before --out is opened, so a refused run leaves it untouched.
+    draw = chunk_sampler(params, args.method)
+    count = check_count(args.count)
+    check_seed(args.seed)
     up_r, up_c = np.triu_indices(params.dim)
-    _write_lines(
-        itertools.chain(["draw,i,j,value\n"], _draw_lines(batch.draws, up_r, up_c)),
-        args.out,
-    )
+    tails = [f",{r},{c}," for r, c in zip(up_r.tolist(), up_c.tolist())]
+
+    def write_chunk(task) -> int:
+        # ``tolist`` yields Python floats, whose ``repr`` is ``fmt_float``.
+        rng, start, m = task
+        upper = draw(rng, m)[:, up_r, up_c]
+        fh.writelines(
+            "".join([f"{t}{tail}{v!r}\n" for tail, v in zip(tails, values.tolist())])
+            for t, values in enumerate(upper, start)
+        )
+        return m * len(tails)
+
+    with _opened(args.out) as fh:
+        fh.write("draw,i,j,value\n")
+        # Each chunk is written as soon as it is drawn, so memory holds one chunk.
+        # One thread: the CSV formatting holds the GIL, and chunk threads beside
+        # it cost more CPU than the drawing they take off it.
+        rows = sum(map_chunks(write_chunk, count, args.seed))
     # The draws file is plain CSV; the self-describing run record goes to
     # stdout so metadata always accompanies the artifact.
-    _emit(_record(args, rows_written=len(batch.draws) * len(up_r)), args.format, None)
+    _emit(_record(args, rows_written=rows), args.format, None)
     return EXIT_OK
 
 

@@ -166,8 +166,8 @@ def random_correlation(dim: int, rng: np.random.Generator) -> np.ndarray:
 class SearchConfig:
     """Axes of the randomized search.
 
-    ``dims`` is an inclusive (lo, hi) range; it, ``trials`` and ``samples``
-    must be integers, else DomainError.  Instances use unit blocks with
+    ``dims`` is an inclusive (lo, hi) range; it, ``trials``, ``samples`` and
+    ``workers`` must be integers, else DomainError.  Instances use unit blocks with
     a shape drawn uniformly from ``alpha_range`` clamped above dim - 1; the
     range must reach above hi - 1 or be one integer shape >= 1.
     ``kind="gaussian"`` means ``alpha_range`` (1, 1) and otherwise only labels
@@ -200,6 +200,8 @@ class SearchConfig:
             raise DomainError(f"trials must be an integer >= 1, got {self.trials!r}")
         if not (isinstance(self.samples, Integral) and self.samples >= 2):
             raise DomainError(f"samples per trial must be an integer >= 2, got {self.samples!r}")
+        if not (isinstance(self.workers, Integral) and self.workers >= 1):
+            raise DomainError(f"workers must be an integer >= 1, got {self.workers!r}")
         if not self.nu_grid or any(v < 0 or not math.isfinite(v) for v in self.nu_grid):
             raise DomainError(f"exponent grid must be nonempty and >= 0, got {self.nu_grid}")
         if self.alpha_range is None:

@@ -10,6 +10,7 @@ and are bit-identical for any worker count.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from numbers import Integral
 
 import numpy as np
 
@@ -53,8 +54,8 @@ def map_ordered(fn, items, workers: int = 1) -> list:
     Results come back in input order regardless of completion order, so
     downstream reductions are deterministic.
     """
-    if workers < 1:
-        raise DomainError(f"workers must be >= 1, got {workers}")
+    if not (isinstance(workers, Integral) and workers >= 1):
+        raise DomainError(f"workers must be an integer >= 1, got {workers!r}")
     items = list(items)
     if workers == 1 or len(items) <= 1:
         return [fn(it) for it in items]

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -404,19 +405,80 @@ class TestSample:
         sigma = np.array([[2.0, 0.5, 0.1], [0.5, 1.0, 0.0], [0.1, 0.0, 1.5]])
         path = sigma_file(tmp_path, sigma)
         dest = tmp_path / "draws.csv"
-        code, _, _ = run(
-            capsys, "sample", "--alpha", repr(alpha), "--sigma", path,
-            "--count", "70", "--method", method, "--seed", "4", "--out", str(dest),
-        )
-        assert code == EXIT_OK
         params = WishartParams(alpha=alpha, sigma=SpdMatrix.from_array(sigma))
-        draws = sampler(params, 70, 4, workers=1).draws
-        want = "draw,i,j,value\n" + "".join(
-            f"{t},{r},{c},{fmt_float(draw[r, c])}\n"
-            for t, draw in enumerate(draws)
-            for r, c in zip(*np.triu_indices(3))
-        )
-        assert dest.read_text() == want
+        # 1001 draws: chunks of 16 and of 15, each numbered from its own start.
+        for count in (70, 1001):
+            draws = sampler(params, count, 4, workers=1).draws
+            want = "draw,i,j,value\n" + "".join(
+                f"{t},{r},{c},{fmt_float(draw[r, c])}\n"
+                for t, draw in enumerate(draws)
+                for r, c in zip(*np.triu_indices(3))
+            )
+            for workers in ("1", "2"):
+                code, out, _ = run(
+                    capsys, "sample", "--alpha", repr(alpha), "--sigma", path,
+                    "--count", str(count), "--method", method, "--seed", "4",
+                    "--workers", workers, "--out", str(dest),
+                )
+                assert code == EXIT_OK
+                assert json.loads(out)["rows_written"] == 6 * count
+                assert dest.read_text() == want
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["absent", "existing"])
+    @pytest.mark.parametrize(
+        "flags, code_want",
+        [
+            (["--alpha", "2.5", "--method", "gaussian-sum", "--count", "5"], EXIT_DOMAIN),
+            (["--alpha", "1", "--method", "bartlett", "--count", "5"], EXIT_DOMAIN),
+            (["--alpha", "4", "--method", "bartlett", "--count", "-1"], EXIT_DOMAIN),
+            (["--alpha", "4", "--method", "bartlett", "--count", "2.5"], EXIT_PARSE),
+            (["--alpha", "4", "--method", "bartlett", "--count", "5", "--seed", "-1"],
+             EXIT_DOMAIN),
+        ],
+        ids=["non-integer-alpha", "singular-bartlett", "negative-count", "non-integer-count",
+             "negative-seed"],
+    )
+    def test_refusal_leaves_out_untouched(self, tmp_path, capsys, flags, code_want, existing):
+        path = sigma_file(tmp_path, np.eye(2))
+        dest = tmp_path / "draws.csv"
+        if existing:
+            dest.write_bytes(b"the user's data\n")
+        try:
+            code = main(["sample", "--sigma", path, *flags, "--out", str(dest)])
+        except SystemExit as exc:  # argparse refuses a non-integer count
+            code = exc.code
+        assert code == code_want
+        assert capsys.readouterr().out == ""
+        if existing:
+            assert dest.read_bytes() == b"the user's data\n"
+        else:
+            assert not dest.exists()
+
+    def test_memory_holds_one_chunk(self, tmp_path, capsys):
+        # The old batch held count * p * p doubles of draws, and as much
+        # again of Bartlett factors; a run now holds one chunk of count/64 draws.
+        p = 3
+        path = sigma_file(tmp_path, np.eye(p) + 0.3)
+        dest = tmp_path / "draws.csv"
+
+        def peak(count, method):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                code, _, _ = run(
+                    capsys, "sample", "--alpha", "4", "--sigma", path, "--count", str(count),
+                    "--method", method, "--workers", "2", "--out", str(dest),
+                )
+                assert code == EXIT_OK
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        for method in ("bartlett", "gaussian-sum"):
+            peak(100, method)  # one-time allocations of the first run
+            small, large = peak(2_000, method), peak(20_000, method)
+            assert large <= 2 * small, (method, small, large)
+            assert large < 20_000 * p * p * 8, (method, large)
 
     def test_count_zero_writes_header_only(self, tmp_path, capsys):
         path = sigma_file(tmp_path, [[1.0]])

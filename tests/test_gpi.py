@@ -347,13 +347,14 @@ class TestSearch:
             assert 1.5 <= row["alpha"] <= 5.0
 
     @pytest.mark.parametrize(
-        "bad", [{"trials": 2.5}, {"samples": 100.5}, {"dims": (1.5, 2)}],
-        ids=["trials", "samples", "dims"],
+        "bad",
+        [{"trials": 2.5}, {"samples": 100.5}, {"dims": (1.5, 2)}, {"workers": 1.5}],
+        ids=["trials", "samples", "dims", "workers"],
     )
     def test_config_refuses_non_integer_counts(self, bad):
         # The config refuses them itself: a search would otherwise raise a raw
         # TypeError (trials), refuse only inside its first trial (samples)
-        # or run (dims).
+        # or run (dims, workers).
         cfg = dict(kind="wishart", dims=(1, 2), trials=2, samples=100, seed=1, alpha_range=(1, 4))
         with pytest.raises(DomainError, match="integer"):
             SearchConfig(**{**cfg, **bad})

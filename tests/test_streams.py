@@ -50,3 +50,9 @@ def test_map_ordered_matches_serial():
     serial = map_ordered(lambda x: x * x, items, workers=1)
     threaded = map_ordered(lambda x: x * x, items, workers=4)
     assert serial == threaded == [x * x for x in items]
+
+
+@pytest.mark.parametrize("workers", [1.5, 2.0, "2", 0])
+def test_map_ordered_refuses_a_non_integer_worker_count(workers):
+    with pytest.raises(DomainError, match="integer"):
+        map_ordered(lambda x: x, range(3), workers=workers)
