@@ -26,6 +26,7 @@ from .errors import (
     DomainError,
     NotBlockDiagonal,
     WishminorsError,
+    check_int,
 )
 from .gpi import DEFAULT_NU_GRID, SearchConfig, search
 from .linalg import BlockPartition, SpdMatrix
@@ -45,7 +46,7 @@ from .montecarlo import (
 )
 from .specfun import log_multigamma_ratio  # noqa: F401 - bench/spans.py wraps it
 from .streams import check_seed
-from .wishart import WishartParams, check_count, chunk_sampler, map_chunks
+from .wishart import WishartParams, chunk_sampler, map_chunks
 from .wishart import sample_bartlett, sample_gaussian_sum  # noqa: F401 - bench/spans.py wraps it
 
 EXIT_OK = 0
@@ -291,7 +292,7 @@ def cmd_sample(args) -> int:
     params = WishartParams(alpha=args.alpha, sigma=sigma)
     # Every refusal comes before --out is opened, so a refused run leaves it untouched.
     draw = chunk_sampler(params, args.method)
-    count = check_count(args.count)
+    count = check_int(args.count, "draw count", 0)
     check_seed(args.seed)
     up_r, up_c = np.triu_indices(params.dim)
     tails = [f",{r},{c}," for r, c in zip(up_r.tolist(), up_c.tolist())]
@@ -447,8 +448,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.workers < 1:  # every subcommand takes --workers
-            raise DomainError(f"workers must be >= 1, got {args.workers}")
+        check_int(args.workers, "workers", 1)  # every subcommand takes --workers
         return args.func(args)
     except InputError as exc:
         sys.stderr.write(f"wishminors: {exc}\n")

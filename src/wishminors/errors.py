@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the two admission rules.
+
+``check_int`` admits every count, size, seed and order, ``check_exponent``
+every moment exponent.
+"""
+import math
+from numbers import Integral
 
 __all__ = [
     "WishminorsError",
@@ -46,3 +52,24 @@ class DegenerateEstimate(WishminorsError):
     Raised when a draw of the log statistic is NaN or +inf, when every draw
     is -inf, or when a zero-spread estimate disagrees with the exact value.
     """
+
+
+def check_int(value, what: str, low: int, high: int | None = None, error=DomainError) -> int:
+    """``value`` as an int; ``error`` unless it is an integer in [low, high).
+
+    An integer is a ``numbers.Integral`` other than ``bool``: ``2.0``, NaN,
+    inf and ``True`` are refused.
+    """
+    integer = isinstance(value, Integral) and not isinstance(value, bool)
+    if integer and low <= value and (high is None or value < high):
+        return int(value)
+    bound = f">= {low}" if high is None else f"in [{low}, {high})"
+    raise error(f"{what} must be an integer {bound}, got {value!r}")
+
+
+def check_exponent(value, what: str) -> float:
+    """``value`` as a float; DomainError unless it is finite and >= 0."""
+    value = float(value)
+    if not (math.isfinite(value) and value >= 0):
+        raise DomainError(f"{what} must be finite and >= 0, got {value}")
+    return value

@@ -14,11 +14,10 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import InitVar, dataclass, field
-from numbers import Integral
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError
+from .errors import DimensionMismatch, DomainError, check_exponent, check_int
 from .linalg import BlockPartition, SpdMatrix
 from .linalg import cholesky  # noqa: F401 - bench/spans.py wraps it
 from .moments import MomentQuery, block_moments_log
@@ -122,9 +121,7 @@ def gaussian_moment_log(nu: float, variance: float = 1.0) -> float:
     formula applied to Z^2.  Written independently of that formula, so
     tests can check the alpha = 1 unit-block denominator against it.
     """
-    nu = float(nu)
-    if not math.isfinite(nu) or nu < 0:
-        raise DomainError(f"exponent must be finite and >= 0, got {nu}")
+    nu = check_exponent(nu, "exponent")
     if not variance > 0:
         raise DomainError(f"variance must be positive, got {variance}")
     try:
@@ -151,8 +148,7 @@ def random_correlation(dim: int, rng: np.random.Generator) -> np.ndarray:
     Each vector has length dim + 2, so the result is SPD almost surely, and
     ``_draw_instance`` validates it; it is exactly symmetric with a unit diagonal.
     """
-    if dim < 1:
-        raise DimensionMismatch(f"dimension must be >= 1, got {dim}")
+    dim = check_int(dim, "dimension", 1, error=DimensionMismatch)
     v = rng.standard_normal((dim, dim + 2))
     g = v @ v.T
     norm = np.sqrt(np.diag(g))
@@ -194,16 +190,15 @@ class SearchConfig:
             object.__setattr__(self, "alpha_range", (1.0, 1.0))
         check_seed(self.seed)
         lo, hi = self.dims
-        if not (isinstance(lo, Integral) and isinstance(hi, Integral) and 1 <= lo <= hi):
-            raise DomainError(f"dimension range must be integers 1 <= lo <= hi, got {self.dims}")
-        if not (isinstance(self.trials, Integral) and self.trials >= 1):
-            raise DomainError(f"trials must be an integer >= 1, got {self.trials!r}")
-        if not (isinstance(self.samples, Integral) and self.samples >= 2):
-            raise DomainError(f"samples per trial must be an integer >= 2, got {self.samples!r}")
-        if not (isinstance(self.workers, Integral) and self.workers >= 1):
-            raise DomainError(f"workers must be an integer >= 1, got {self.workers!r}")
-        if not self.nu_grid or any(v < 0 or not math.isfinite(v) for v in self.nu_grid):
-            raise DomainError(f"exponent grid must be nonempty and >= 0, got {self.nu_grid}")
+        lo = check_int(lo, "the lower dimension", 1)
+        check_int(hi, "the upper dimension", lo)
+        check_int(self.trials, "trials", 1)
+        check_int(self.samples, "samples per trial", 2)
+        check_int(self.workers, "workers", 1)
+        if not self.nu_grid:
+            raise DomainError("the exponent grid is empty")
+        for v in self.nu_grid:
+            check_exponent(v, "a grid exponent")
         if self.alpha_range is None:
             raise DomainError("wishart search needs an alpha range")
         alo, ahi = self.alpha_range

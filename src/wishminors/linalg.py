@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPositiveDefinite
+from .errors import DimensionMismatch, NotPositiveDefinite, check_int
 
 __all__ = [
     "BlockPartition",
@@ -107,7 +107,8 @@ class SpdMatrix:
 class BlockPartition:
     """An ordered split of ``{1, ..., n}`` into contiguous blocks.
 
-    ``sizes`` holds the block sizes (p_1, ..., p_d), all >= 1.  ``prefix``
+    ``sizes`` holds the block sizes (p_1, ..., p_d), each an integer >= 1
+    (``2.0`` and ``1.5`` are refused with DimensionMismatch).  ``prefix``
     holds the cumulative sums (P_0, P_1, ..., P_d) with P_0 = 0, so block
     ``k`` (1-based) covers rows ``prefix[k-1]:prefix[k]``.
     """
@@ -116,11 +117,9 @@ class BlockPartition:
     prefix: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        sizes = tuple(int(s) for s in self.sizes)
+        sizes = tuple(check_int(s, "block size", 1, error=DimensionMismatch) for s in self.sizes)
         if not sizes:
             raise DimensionMismatch("partition needs at least one block")
-        if any(s < 1 for s in sizes):
-            raise DimensionMismatch(f"block sizes must be >= 1, got {sizes}")
         object.__setattr__(self, "sizes", sizes)
         acc = [0]
         for s in sizes:
@@ -162,14 +161,12 @@ def schur_complement(m, k: int) -> np.ndarray:
     Raises
     ------
     DimensionMismatch
-        If ``k`` is not in ``[1, dim - 1]``.
+        If ``k`` is not an integer in ``[1, dim - 1]``.
     NotPositiveDefinite
         If the leading block is not positive definite.
     """
     a = m.entries if isinstance(m, SpdMatrix) else _as_square(m)
-    n = a.shape[0]
-    if not 1 <= k < n:
-        raise DimensionMismatch(f"block size k={k} must satisfy 1 <= k < {n}")
+    k = check_int(k, "block size k", 1, a.shape[0], error=DimensionMismatch)
     low = cholesky(np.ascontiguousarray(a[:k, :k]))
     w = np.linalg.solve(low, a[:k, k:])
     s = a[k:, k:] - w.T @ w

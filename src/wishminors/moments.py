@@ -18,11 +18,12 @@ case the blocks are independent Wisharts with the full shape alpha.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, NotBlockDiagonal, SingularRegime
+from .errors import check_exponent
 from .linalg import BlockPartition, SpdMatrix, leading_logdets
 from .specfun import log_multigamma_ratio
 from .wishart import WishartParams
@@ -58,13 +59,11 @@ class MomentQuery:
     suffix: tuple[float, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        nu = tuple(float(v) for v in self.nu)
+        nu = tuple(check_exponent(v, "exponent") for v in self.nu)
         if len(nu) != self.partition.blocks:
             raise DimensionMismatch(
                 f"{len(nu)} exponents for {self.partition.blocks} blocks"
             )
-        if any(not math.isfinite(v) or v < 0 for v in nu):
-            raise DomainError(f"exponents must be finite and >= 0, got {nu}")
         object.__setattr__(self, "nu", nu)
         acc = 0.0
         rev = []
@@ -111,10 +110,12 @@ def admit_embedded(params: WishartParams, query: MomentQuery) -> None:
     """Raise unless the nested-minor moment of ``query`` exists for ``params``.
 
     It needs the nonsingular regime, which also keeps every gamma base
-    above its pole since V_i >= 0, and a partition that covers the scale.
+    above its pole since V_i >= 0, a partition that covers the scale, and
+    a finite V_1, the largest shift.
     """
     params.require_nonsingular("the nested-minor moment")
     query.partition.check_covers(params.dim)
+    check_exponent(query.suffix[0], "the sum of the exponents")
 
 
 def embedded_moment_log(params: WishartParams, query: MomentQuery) -> ExactMoment:
@@ -159,25 +160,21 @@ def admit_disjoint(params: WishartParams, query: MomentQuery) -> None:
 def block_moments_log(params: WishartParams, query: MomentQuery) -> ExactMoment:
     """Product of the per-block marginal moments E[det(X_kk)^nu_k], in log space.
 
-    X_kk ~ Wishart(alpha, sigma_kk) for any sigma, so block k contributes
-    ``nu_k * (p_k log 2 + log det sigma_kk)`` and the order-p_k gamma ratio
-    at base alpha/2 with shift nu_k; ``admit_disjoint`` decides the inputs
-    it accepts.  The product is the joint moment when sigma is block
-    diagonal.
+    X_kk ~ Wishart(alpha, sigma_kk) for any sigma, so block k's factor is
+    the one-block nested moment of ``embedded_moment_log`` on those params,
+    renumbered to k + 1.  ``admit_disjoint`` decides the inputs it accepts;
+    each admitted block has alpha > p_k - 1.  The product is the joint
+    moment when sigma is block diagonal.
     """
     admit_disjoint(params, query)
-    part = query.partition
-    entries = params.sigma.entries
-    return _sum_factors(
-        MomentFactor(
-            block=k + 1,
-            det_term=nu_k * (size * _LOG_2 + SpdMatrix.from_array(entries[a:b, a:b]).logdet),
-            gamma_term=log_multigamma_ratio(size, params.alpha / 2.0, nu_k),
-        )
-        for k, (size, nu_k, a, b) in enumerate(
-            zip(part.sizes, query.nu, part.prefix, part.prefix[1:])
-        )
-    )
+    prefix = query.partition.prefix
+    factors = []
+    for k, (nu_k, a, b) in enumerate(zip(query.nu, prefix, prefix[1:])):
+        block = WishartParams(params.alpha, SpdMatrix.from_array(params.sigma.entries[a:b, a:b]))
+        one = MomentQuery(BlockPartition((b - a,)), (nu_k,))
+        (factor,) = embedded_moment_log(block, one).factors
+        factors.append(replace(factor, block=k + 1))
+    return _sum_factors(factors)
 
 
 def disjoint_moment_block_diag_log(params: WishartParams, query: MomentQuery) -> float:

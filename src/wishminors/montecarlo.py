@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateEstimate, DimensionMismatch, DomainError
+from .errors import DegenerateEstimate, DimensionMismatch, check_int
 from .moments import MomentQuery, admit_disjoint, admit_embedded
 from .streams import chunk_sizes, map_ordered, substreams  # noqa: F401 - bench/spans.py wraps them
 from .wishart import WishartParams, _bartlett_dofs, _factor_rows, _gram, map_chunks
@@ -110,12 +110,10 @@ def estimate_log_statistic(stat_fn, n: int, seed: int, workers: int = 1) -> McEs
     substream each; chunk log-sum-exp reductions are merged in fixed chunk
     order under a running-max shift, so the result depends only on
     ``(n, seed)``, not on ``workers``, and never overflows on the way to the
-    final mean.  The standard error needs ``n >= 2``, which is checked
-    before any draw.
+    final mean.  The standard error needs an integer ``n >= 2`` (``2.0`` is
+    refused), which ``errors.check_int`` checks before any draw.
     """
-    if int(n) != n or n < 2:
-        raise DomainError(f"sample count must be an integer >= 2, got {n!r}")
-    n = int(n)
+    n = check_int(n, "sample count", 2)
 
     def run(task):
         rng, _, m = task  # the start row serves only the samplers
@@ -262,8 +260,7 @@ def compare(exact_log: float, mc: McEstimate) -> ComparisonReport:
     expm1(mean_log - exact_log) / (stderr/mean) so it stays finite even
     when the moment itself overflows double range.
     """
-    if mc.n < 2:
-        raise DomainError(f"need at least 2 samples to compare, got n={mc.n}")
+    check_int(mc.n, "the sample count to compare", 2)
     exact_log = float(exact_log)
     if mc.stderr_log == -math.inf:
         rel_gap = abs(math.expm1(mc.mean_log - exact_log))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError
+from .errors import DomainError, check_exponent, check_int
 
 __all__ = ["log_multigamma", "log_multigamma_ratio"]
 
@@ -24,10 +24,13 @@ _LOG_PI = math.log(math.pi)
 _STIRLING_FROM = 12.0
 
 
-def _check_order(p: int) -> int:
-    if int(p) != p or p < 1:
-        raise DomainError(f"order p must be a positive integer, got {p!r}")
-    return int(p)
+def _check_pole(p: int, beta: float) -> tuple[int, float]:
+    """``(p, beta)`` as an int and a float; DomainError unless beta > (p - 1) / 2."""
+    p = check_int(p, "order p", 1)
+    beta = float(beta)
+    if not beta > (p - 1) / 2.0:
+        raise DomainError(f"beta={beta} must exceed (p-1)/2 = {(p - 1) / 2}")
+    return p, beta
 
 
 def _lgamma(x: float) -> float:
@@ -77,28 +80,22 @@ def log_multigamma(p: int, beta: float) -> float:
         If ``p`` is not a positive integer or ``beta`` is at or below the
         pole boundary (p - 1) / 2.
     """
-    p = _check_order(p)
-    beta = float(beta)
-    if not beta > (p - 1) / 2.0:
-        raise DomainError(f"beta={beta} must exceed (p-1)/2 = {(p - 1) / 2}")
+    p, beta = _check_pole(p, beta)
     return p * (p - 1) / 4.0 * _LOG_PI + sum(_lgamma(beta - 0.5 * j) for j in range(p))
 
 
 def log_multigamma_ratio(p: int, beta: float, shift: float) -> float:
-    """log of Gamma_p(beta + shift) / Gamma_p(beta), for shift >= 0.
+    """log of Gamma_p(beta + shift) / Gamma_p(beta), for a finite shift >= 0.
 
     Exactly 0.0 when ``shift`` is zero.  The pi prefactors cancel, so the
     result is a plain sum of ``lgamma(beta + shift - j/2) - lgamma(beta - j/2)``
     terms, defined whenever ``beta > (p-1)/2``.  Each term keeps full
     relative precision however large beta is; past double range it is inf.
+    DomainError refuses what ``log_multigamma`` refuses, and a negative,
+    NaN or infinite shift.
     """
-    p = _check_order(p)
-    beta = float(beta)
-    shift = float(shift)
-    if not beta > (p - 1) / 2.0:
-        raise DomainError(f"beta={beta} must exceed (p-1)/2 = {(p - 1) / 2}")
-    if shift < 0:
-        raise DomainError(f"shift must be nonnegative, got {shift}")
+    p, beta = _check_pole(p, beta)
+    shift = check_exponent(shift, "shift")
     if shift == 0.0:
         return 0.0
     return sum(_lgamma_diff(beta - 0.5 * j, shift) for j in range(p))

@@ -10,29 +10,25 @@ and are bit-identical for any worker count.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from numbers import Integral
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import check_int
 
 __all__ = ["check_seed", "substreams", "chunk_sizes", "map_ordered"]
 
 _SEED_MAX = 2**64
 
 
-def check_seed(seed: int) -> None:
-    """Raise DomainError unless ``seed`` is an integer in [0, 2**64)."""
-    if int(seed) != seed or not 0 <= seed < _SEED_MAX:
-        raise DomainError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+def check_seed(seed: int) -> int:
+    """``seed`` as an int; DomainError unless it is an integer in [0, 2**64)."""
+    return check_int(seed, "seed", 0, _SEED_MAX)
 
 
 def substreams(seed: int, count: int) -> list[np.random.Generator]:
     """``count`` independent Philox generators spawned from ``seed``."""
-    check_seed(seed)
-    if count < 0:
-        raise DomainError(f"substream count must be >= 0, got {count}")
-    children = np.random.SeedSequence(int(seed)).spawn(count)
+    seed = check_seed(seed)
+    children = np.random.SeedSequence(seed).spawn(check_int(count, "substream count", 0))
     return [np.random.Generator(np.random.Philox(c)) for c in children]
 
 
@@ -42,8 +38,8 @@ def chunk_sizes(total: int, chunks: int) -> list[int]:
     The first ``total % chunks`` pieces get one extra item, so the layout
     depends only on the two arguments.
     """
-    if total < 0 or chunks < 1:
-        raise DomainError(f"need total >= 0 and chunks >= 1, got {total}, {chunks}")
+    total = check_int(total, "total", 0)
+    chunks = check_int(chunks, "chunk count", 1)
     base, extra = divmod(total, chunks)
     return [base + 1 if i < extra else base for i in range(chunks)]
 
@@ -54,8 +50,7 @@ def map_ordered(fn, items, workers: int = 1) -> list:
     Results come back in input order regardless of completion order, so
     downstream reductions are deterministic.
     """
-    if not (isinstance(workers, Integral) and workers >= 1):
-        raise DomainError(f"workers must be an integer >= 1, got {workers!r}")
+    workers = check_int(workers, "workers", 1)
     items = list(items)
     if workers == 1 or len(items) <= 1:
         return [fn(it) for it in items]

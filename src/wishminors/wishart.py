@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NonIntegerAlpha, SingularRegime
+from .errors import DomainError, NonIntegerAlpha, SingularRegime, check_int
 from .linalg import SpdMatrix
 from .specfun import log_multigamma  # noqa: F401 - bench/spans.py wraps it
 from .streams import chunk_sizes, map_ordered, substreams
@@ -189,13 +189,6 @@ def _gram(rows: list[np.ndarray]) -> list[list[np.ndarray]]:
     ]
 
 
-def check_count(count) -> int:
-    """``count`` as an int; DomainError unless it is a nonnegative integer."""
-    if int(count) != count or count < 0:
-        raise DomainError(f"draw count must be a nonnegative integer, got {count!r}")
-    return int(count)
-
-
 def chunk_sampler(params: WishartParams, method: str):
     """Return ``draw(rng, m, out=None, factors=None)``, which gives m draws X = T T^T.
 
@@ -230,7 +223,7 @@ def _sample_batch(params, method, count, seed, workers) -> SampleBatch:
     factors, straight into its own rows of the two preallocated arrays.
     """
     draw = chunk_sampler(params, method)
-    count = check_count(count)
+    count = check_int(count, "draw count", 0)
     p = params.dim
     shape = (count, p, p)
     draws = np.empty(shape)

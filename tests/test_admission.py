@@ -1,0 +1,78 @@
+"""One admission rule for every integer argument and every exponent.
+
+Counts, sizes, seeds and orders must be a ``numbers.Integral`` other than
+``bool`` in range, so NaN, inf, ``2.0``, ``True``, ``1.5`` and ``-1`` all get
+the typed error; exponents must be finite and >= 0.  ``map_ordered`` and
+``SearchConfig`` have their own cases in ``test_streams.py`` and ``test_gpi.py``.
+"""
+import math
+
+import numpy as np
+import pytest
+
+from wishminors import (
+    BlockPartition,
+    DimensionMismatch,
+    DomainError,
+    MomentQuery,
+    SpdMatrix,
+    WishartParams,
+    estimate_embedded,
+    gaussian_moment_log,
+    log_multigamma,
+    log_multigamma_ratio,
+    random_correlation,
+    sample_bartlett,
+)
+from wishminors.linalg import schur_complement
+from wishminors.streams import chunk_sizes, substreams
+
+NOT_INTEGERS = (math.nan, math.inf, 2.0, True, 1.5, -1)
+NOT_EXPONENTS = (math.nan, math.inf, -1)
+
+PARAMS = WishartParams(alpha=4.0, sigma=SpdMatrix.from_array(np.eye(2)))
+QUERY = MomentQuery(partition=BlockPartition((1, 1)), nu=(1.0, 0.5))
+
+INTEGER_ENTRIES = {
+    "estimate_embedded-n": (lambda v: estimate_embedded(PARAMS, QUERY, v, seed=1), DomainError),
+    "estimate_embedded-seed": (lambda v: estimate_embedded(PARAMS, QUERY, 10, seed=v),
+                               DomainError),
+    "sample_bartlett-count": (lambda v: sample_bartlett(PARAMS, v, seed=1), DomainError),
+    "substreams-count": (lambda v: substreams(1, v), DomainError),
+    "chunk_sizes-total": (lambda v: chunk_sizes(v, 4), DomainError),
+    "chunk_sizes-chunks": (lambda v: chunk_sizes(10, v), DomainError),
+    "BlockPartition": (lambda v: BlockPartition((1, v)), DimensionMismatch),
+    "log_multigamma-order": (lambda v: log_multigamma(v, 3.0), DomainError),
+    "log_multigamma_ratio-order": (lambda v: log_multigamma_ratio(v, 3.0, 1.0), DomainError),
+    "random_correlation": (lambda v: random_correlation(v, np.random.default_rng(1)),
+                           DimensionMismatch),
+    "schur_complement": (lambda v: schur_complement(np.eye(3), v), DimensionMismatch),
+}
+
+EXPONENT_ENTRIES = {
+    "log_multigamma_ratio-shift": lambda v: log_multigamma_ratio(2, 3.0, v),
+    "MomentQuery": lambda v: MomentQuery(partition=BlockPartition((1, 1)), nu=(1.0, v)),
+    "gaussian_moment_log": lambda v: gaussian_moment_log(v),
+}
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+@pytest.mark.parametrize("entry", INTEGER_ENTRIES)
+def test_integer_arguments_refuse_non_integers(entry, value):
+    call, error = INTEGER_ENTRIES[entry]
+    with pytest.raises(error, match="must be an integer"):
+        call(value)
+
+
+@pytest.mark.parametrize("value", NOT_EXPONENTS, ids=repr)
+@pytest.mark.parametrize("entry", EXPONENT_ENTRIES)
+def test_exponents_refuse_nonfinite_and_negative_values(entry, value):
+    with pytest.raises(DomainError, match="finite and >= 0"):
+        EXPONENT_ENTRIES[entry](value)
+
+
+def test_numpy_integers_are_integers():
+    # Sizes and dimensions drawn by numpy arrive as numpy integers.
+    assert BlockPartition((np.int64(2), np.int32(1))).sizes == (2, 1)
+    assert chunk_sizes(np.int64(5), np.uint8(2)) == [3, 2]
+    assert log_multigamma(np.int64(1), 2.0) == 0.0

@@ -697,7 +697,7 @@ class TestOutOfRangeInputs:
             argv = argv + ["--sigma", sigma_file(tmp_path, np.eye(2))]
         code, out, err = run(capsys, *argv, "--out", str(dest), "--workers", workers)
         assert code == EXIT_DOMAIN and out == ""
-        assert err == f"wishminors: workers must be >= 1, got {workers}\n"
+        assert err == f"wishminors: workers must be an integer >= 1, got {workers}\n"
         assert not dest.exists()
 
     @pytest.mark.parametrize(

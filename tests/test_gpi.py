@@ -348,13 +348,22 @@ class TestSearch:
 
     @pytest.mark.parametrize(
         "bad",
-        [{"trials": 2.5}, {"samples": 100.5}, {"dims": (1.5, 2)}, {"workers": 1.5}],
-        ids=["trials", "samples", "dims", "workers"],
+        [
+            pytest.param({"trials": 2.5}, id="trials"),
+            pytest.param({"samples": 100.5}, id="samples"),
+            pytest.param({"dims": (1.5, 2)}, id="dims"),
+            pytest.param({"workers": 1.5}, id="workers"),
+            *(
+                pytest.param({key: (value, 2) if key == "dims" else value}, id=f"{key}-{value!r}")
+                for key in ("trials", "samples", "dims", "workers", "seed")
+                for value in (math.nan, math.inf, 2.0, True, -1)
+            ),
+        ],
     )
     def test_config_refuses_non_integer_counts(self, bad):
         # The config refuses them itself: a search would otherwise raise a raw
         # TypeError (trials), refuse only inside its first trial (samples)
-        # or run (dims, workers).
+        # or run (dims, workers, and a float or boolean count or seed).
         cfg = dict(kind="wishart", dims=(1, 2), trials=2, samples=100, seed=1, alpha_range=(1, 4))
         with pytest.raises(DomainError, match="integer"):
             SearchConfig(**{**cfg, **bad})

@@ -52,7 +52,7 @@ def test_map_ordered_matches_serial():
     assert serial == threaded == [x * x for x in items]
 
 
-@pytest.mark.parametrize("workers", [1.5, 2.0, "2", 0])
+@pytest.mark.parametrize("workers", [1.5, 2.0, "2", 0, float("nan"), float("inf"), True, -1])
 def test_map_ordered_refuses_a_non_integer_worker_count(workers):
     with pytest.raises(DomainError, match="integer"):
         map_ordered(lambda x: x, range(3), workers=workers)
