@@ -320,7 +320,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_gpi(args) -> int:
-    # Every SearchConfig field is a gpi flag of the same name.
+    # Every SearchConfig field is a gpi flag of the same name; --workers is only echoed.
     fields = dataclasses.fields(SearchConfig)
     config = SearchConfig(**{f.name: getattr(args, f.name) for f in fields})
     report = search(config)
@@ -365,7 +365,8 @@ def build_parser() -> _Parser:
         "--seed": dict(type=int, default=0, help="root RNG seed (default 0)"),
         "--workers": dict(
             type=int, default=os.cpu_count() or 1,
-            help="threads to run on; results do not depend on it (default: machine parallelism)",
+            help="threads that run verify's chunks, which other subcommands only echo; "
+            "results do not depend on it (default: machine parallelism)",
         ),
         "--format": dict(
             choices=("json", "csv", "table"), default="json",

@@ -4,7 +4,7 @@
 every moment exponent.
 """
 import math
-from numbers import Integral
+from numbers import Integral, Real
 
 __all__ = [
     "WishminorsError",
@@ -68,8 +68,11 @@ def check_int(value, what: str, low: int, high: int | None = None, error=DomainE
 
 
 def check_exponent(value, what: str) -> float:
-    """``value`` as a float; DomainError unless it is finite and >= 0."""
-    value = float(value)
-    if not (math.isfinite(value) and value >= 0):
-        raise DomainError(f"{what} must be finite and >= 0, got {value}")
-    return value
+    """``value`` as a float; DomainError unless it is a real, finite and >= 0.
+
+    A real is a ``numbers.Real`` other than ``bool``: ``"0.5"`` and ``True`` are refused.
+    """
+    real = isinstance(value, Real) and not isinstance(value, bool)
+    if not (real and math.isfinite(value) and value >= 0):
+        raise DomainError(f"{what} must be finite and >= 0, got {value!r}")
+    return float(value)

@@ -162,8 +162,8 @@ def random_correlation(dim: int, rng: np.random.Generator) -> np.ndarray:
 class SearchConfig:
     """Axes of the randomized search.
 
-    ``dims`` is an inclusive (lo, hi) range; it, ``trials``, ``samples`` and
-    ``workers`` must be integers, else DomainError.  Instances use unit blocks with
+    ``dims`` is an inclusive (lo, hi) range; it, ``trials`` and ``samples``
+    must be integers, else DomainError.  Instances use unit blocks with
     a shape drawn uniformly from ``alpha_range`` clamped above dim - 1; the
     range must reach above hi - 1 or be one integer shape >= 1.
     ``kind="gaussian"`` means ``alpha_range`` (1, 1) and otherwise only labels
@@ -176,7 +176,6 @@ class SearchConfig:
     trials: int
     samples: int
     seed: int
-    workers: int = 1
     alpha_range: tuple[float, float] | None = None
     nu_grid: tuple[float, ...] = DEFAULT_NU_GRID
     rho_grid: tuple[float, ...] | None = None
@@ -194,7 +193,6 @@ class SearchConfig:
         check_int(hi, "the upper dimension", lo)
         check_int(self.trials, "trials", 1)
         check_int(self.samples, "samples per trial", 2)
-        check_int(self.workers, "workers", 1)
         if not self.nu_grid:
             raise DomainError("the exponent grid is empty")
         for v in self.nu_grid:
@@ -290,6 +288,10 @@ def search(config: SearchConfig) -> SearchReport:
     the report can be reproduced in isolation.  A non-consistent first
     pass triggers one re-run at 10x samples on the escalation stream; the
     re-run's verdict is final.
+
+    Trials run in order on the calling thread: at p <= 3 a trial is short
+    numpy calls, and two trial threads trading the GIL cost half again the
+    CPU for no more draws per second.
     """
     root = np.random.SeedSequence(int(config.seed))
     trial_seqs = root.spawn(config.trials)
@@ -312,6 +314,6 @@ def search(config: SearchConfig) -> SearchReport:
             result=result,
         )
 
-    records = map_ordered(run_trial, range(config.trials), workers=config.workers)
+    records = map_ordered(run_trial, range(config.trials))  # bench/spans.py counts its tasks
     ranked = sorted(records, key=lambda r: (r.result.violation_z, r.index))
     return SearchReport(trials=tuple(ranked))

@@ -2,7 +2,8 @@
 
 Counts, sizes, seeds and orders must be a ``numbers.Integral`` other than
 ``bool`` in range, so NaN, inf, ``2.0``, ``True``, ``1.5`` and ``-1`` all get
-the typed error; exponents must be finite and >= 0.  ``map_ordered`` and
+the typed error; exponents must be a ``numbers.Real`` other than ``bool``,
+finite and >= 0.  ``map_ordered`` and
 ``SearchConfig`` have their own cases in ``test_streams.py`` and ``test_gpi.py``.
 """
 import math
@@ -15,6 +16,7 @@ from wishminors import (
     DimensionMismatch,
     DomainError,
     MomentQuery,
+    SearchConfig,
     SpdMatrix,
     WishartParams,
     estimate_embedded,
@@ -28,7 +30,7 @@ from wishminors.linalg import schur_complement
 from wishminors.streams import chunk_sizes, substreams
 
 NOT_INTEGERS = (math.nan, math.inf, 2.0, True, 1.5, -1)
-NOT_EXPONENTS = (math.nan, math.inf, -1)
+NOT_EXPONENTS = (math.nan, math.inf, -1, None, "abc", "0.5", True, 1j)
 
 PARAMS = WishartParams(alpha=4.0, sigma=SpdMatrix.from_array(np.eye(2)))
 QUERY = MomentQuery(partition=BlockPartition((1, 1)), nu=(1.0, 0.5))
@@ -53,6 +55,10 @@ EXPONENT_ENTRIES = {
     "log_multigamma_ratio-shift": lambda v: log_multigamma_ratio(2, 3.0, v),
     "MomentQuery": lambda v: MomentQuery(partition=BlockPartition((1, 1)), nu=(1.0, v)),
     "gaussian_moment_log": lambda v: gaussian_moment_log(v),
+    "SearchConfig-nu_grid": lambda v: SearchConfig(
+        kind="wishart", dims=(1, 2), trials=1, samples=100, seed=0, alpha_range=(1, 4),
+        nu_grid=(1.0, v),
+    ),
 }
 
 
@@ -76,3 +82,9 @@ def test_numpy_integers_are_integers():
     assert BlockPartition((np.int64(2), np.int32(1))).sizes == (2, 1)
     assert chunk_sizes(np.int64(5), np.uint8(2)) == [3, 2]
     assert log_multigamma(np.int64(1), 2.0) == 0.0
+
+
+@pytest.mark.parametrize("entry", EXPONENT_ENTRIES)
+def test_numpy_floats_are_exponents(entry):
+    # Exponents drawn from a numpy grid arrive as numpy floats.
+    assert EXPONENT_ENTRIES[entry](np.float64(0.5)) == EXPONENT_ENTRIES[entry](0.5)

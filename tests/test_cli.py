@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -512,7 +513,43 @@ class TestSample:
         assert json.loads(out)["rows_written"] == 12
 
 
+GPI_SEARCHES = {
+    "wishart": ["--kind", "wishart", "--dims", "1:3", "--alpha-range", "1:6"],
+    "gaussian": ["--kind", "gaussian", "--dims", "2:3"],
+}
+
+
 class TestGpi:
+    @pytest.mark.parametrize("search", GPI_SEARCHES)
+    def test_trial_lines_ignore_workers(self, capsys, search):
+        lines = []
+        for workers in ("1", "4"):
+            code, out, _ = run(
+                capsys, "gpi", *GPI_SEARCHES[search], "--trials", "4",
+                "--samples", "2000", "--seed", "17", "--workers", workers,
+            )
+            assert code == EXIT_OK
+            lines.append(out.splitlines())
+        (head_one, *one), (head_four, *four) = lines
+        assert len(one) == 4 and one == four
+        # The headers differ only in the echoed config.workers.
+        head_one, head_four = json.loads(head_one), json.loads(head_four)
+        assert head_one["config"].pop("workers") == 1
+        assert head_four["config"].pop("workers") == 4
+        assert head_one == head_four
+
+    def test_search_starts_no_thread(self, monkeypatch, capsys):
+        def refuse(thread):
+            raise AssertionError(f"gpi started thread {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        code, out, _ = run(
+            capsys, "gpi", *GPI_SEARCHES["wishart"], "--trials", "3",
+            "--samples", "2000", "--workers", "4",
+        )
+        assert code == EXIT_OK
+        assert len(out.splitlines()) == 4
+
     def test_gaussian_rho_sweep_jsonl(self, tmp_path, capsys):
         dest = tmp_path / "trials.jsonl"
         code, out, err = run(

@@ -210,14 +210,6 @@ class TestSearch:
         b = search(cfg)
         assert [r.to_record() for r in a.trials] == [r.to_record() for r in b.trials]
 
-    def test_worker_count_does_not_change_results(self):
-        cfg = dict(
-            kind="gaussian", dims=(2, 3), trials=5, samples=3_000, seed=17
-        )
-        a = search(SearchConfig(**cfg, workers=1))
-        b = search(SearchConfig(**cfg, workers=3))
-        assert [r.to_record() for r in a.trials] == [r.to_record() for r in b.trials]
-
     def test_rho_grid_isserlis_curve(self):
         cfg = SearchConfig(
             kind="gaussian",
@@ -352,10 +344,9 @@ class TestSearch:
             pytest.param({"trials": 2.5}, id="trials"),
             pytest.param({"samples": 100.5}, id="samples"),
             pytest.param({"dims": (1.5, 2)}, id="dims"),
-            pytest.param({"workers": 1.5}, id="workers"),
             *(
                 pytest.param({key: (value, 2) if key == "dims" else value}, id=f"{key}-{value!r}")
-                for key in ("trials", "samples", "dims", "workers", "seed")
+                for key in ("trials", "samples", "dims", "seed")
                 for value in (math.nan, math.inf, 2.0, True, -1)
             ),
         ],
@@ -363,7 +354,7 @@ class TestSearch:
     def test_config_refuses_non_integer_counts(self, bad):
         # The config refuses them itself: a search would otherwise raise a raw
         # TypeError (trials), refuse only inside its first trial (samples)
-        # or run (dims, workers, and a float or boolean count or seed).
+        # or run (dims, and a float or boolean count or seed).
         cfg = dict(kind="wishart", dims=(1, 2), trials=2, samples=100, seed=1, alpha_range=(1, 4))
         with pytest.raises(DomainError, match="integer"):
             SearchConfig(**{**cfg, **bad})
