@@ -2,8 +2,8 @@
 
 Subcommands: exact, verify, sample, gpi.  Every artifact embeds the tool
 version, the fully resolved configuration and the seed, so any output
-can be regenerated from itself; the worker count it echoes never changes
-a result.  Exit codes:
+can be regenerated from itself.  The worker count is left out: it never
+changes a result.  Exit codes:
 0 ok/consistent, 1 I/O or parse failure, 2 domain error, 3 verification
 inconsistency.
 """
@@ -166,8 +166,12 @@ def _range_of(cast):
 
 
 def _record(args, **fields) -> dict:
-    """Run record: the tool, every parsed flag as ``config``, then ``fields``."""
-    config = {k: v for k, v in vars(args).items() if k != "func"}
+    """Run record: the tool, every parsed flag as ``config``, then ``fields``.
+
+    ``config`` leaves out ``--workers``: the bytes depend on the inputs and the
+    seed only, not on the flag or on the machine's core count it defaults to.
+    """
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "workers")}
     return {
         "tool": {"name": "wishminors", "version": __version__},
         "config": config,
@@ -320,7 +324,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_gpi(args) -> int:
-    # Every SearchConfig field is a gpi flag of the same name; --workers is only echoed.
+    # Every SearchConfig field is a gpi flag of the same name; --workers is only checked.
     fields = dataclasses.fields(SearchConfig)
     config = SearchConfig(**{f.name: getattr(args, f.name) for f in fields})
     report = search(config)
@@ -365,7 +369,7 @@ def build_parser() -> _Parser:
         "--seed": dict(type=int, default=0, help="root RNG seed (default 0)"),
         "--workers": dict(
             type=int, default=os.cpu_count() or 1,
-            help="threads that run verify's chunks, which other subcommands only echo; "
+            help="threads that run verify's chunks, which other subcommands only check; "
             "results do not depend on it (default: machine parallelism)",
         ),
         "--format": dict(

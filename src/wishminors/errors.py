@@ -1,9 +1,11 @@
 """Exception types shared across the package, and the two admission rules.
 
-``check_int`` admits every count, size, seed and order, ``check_exponent``
-every moment exponent.
+``check_int`` admits every count, size, seed and order, ``check_real`` every
+other real argument; a domain bound such as ``alpha > p - 1`` is checked
+where it lives, after the rule.
 """
 import math
+import sys
 from numbers import Integral, Real
 
 __all__ = [
@@ -16,6 +18,8 @@ __all__ = [
     "NotBlockDiagonal",
     "DegenerateEstimate",
 ]
+
+_FLOAT_MAX = sys.float_info.max
 
 
 class WishminorsError(Exception):
@@ -67,12 +71,14 @@ def check_int(value, what: str, low: int, high: int | None = None, error=DomainE
     raise error(f"{what} must be an integer {bound}, got {value!r}")
 
 
-def check_exponent(value, what: str) -> float:
-    """``value`` as a float; DomainError unless it is a real, finite and >= 0.
+def check_real(value, what: str, low: float = -math.inf) -> float:
+    """``value`` as a float; DomainError unless it is a real, finite and >= ``low``.
 
-    A real is a ``numbers.Real`` other than ``bool``: ``"0.5"`` and ``True`` are refused.
+    A real is a ``numbers.Real`` other than ``bool``: ``"0.5"``, ``True`` and
+    ``1j`` are refused, and so is one beyond double range, like ``10**400``.
     """
     real = isinstance(value, Real) and not isinstance(value, bool)
-    if not (real and math.isfinite(value) and value >= 0):
-        raise DomainError(f"{what} must be finite and >= 0, got {value!r}")
-    return float(value)
+    if real and max(low, -_FLOAT_MAX) <= value <= _FLOAT_MAX:
+        return float(value)
+    bound = "" if low == -math.inf else f" and >= {low:g}"
+    raise DomainError(f"{what} must be finite{bound}, got {value!r}")

@@ -17,7 +17,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, check_exponent, check_int
+from .errors import DimensionMismatch, DomainError, check_int, check_real
 from .linalg import BlockPartition, SpdMatrix
 from .linalg import cholesky  # noqa: F401 - bench/spans.py wraps it
 from .moments import MomentQuery, block_moments_log
@@ -120,8 +120,11 @@ def gaussian_moment_log(nu: float, variance: float = 1.0) -> float:
     one-dimensional, one-degree-of-freedom case of the minor moment
     formula applied to Z^2.  Written independently of that formula, so
     tests can check the alpha = 1 unit-block denominator against it.
+    ``nu`` and ``variance`` pass ``errors.check_real``; ``nu`` must be >= 0
+    and ``variance`` > 0, else DomainError.
     """
-    nu = check_exponent(nu, "exponent")
+    nu = check_real(nu, "exponent", 0.0)
+    variance = check_real(variance, "variance")
     if not variance > 0:
         raise DomainError(f"variance must be positive, got {variance}")
     try:
@@ -163,9 +166,11 @@ class SearchConfig:
     """Axes of the randomized search.
 
     ``dims`` is an inclusive (lo, hi) range; it, ``trials`` and ``samples``
-    must be integers, else DomainError.  Instances use unit blocks with
-    a shape drawn uniformly from ``alpha_range`` clamped above dim - 1; the
-    range must reach above hi - 1 or be one integer shape >= 1.
+    must be integers, else DomainError; the ``alpha_range`` bounds and the
+    ``nu_grid`` and ``rho_grid`` values must pass ``errors.check_real``.
+    Instances use unit blocks with a shape drawn uniformly from
+    ``alpha_range`` clamped above dim - 1; the range must reach above hi - 1
+    or be one integer shape >= 1.
     ``kind="gaussian"`` means ``alpha_range`` (1, 1) and otherwise only labels
     the trial lines.  With ``rho_grid`` (dims fixed at 2), trial t uses the
     grid value t mod len(grid) instead of a random correlation.
@@ -196,21 +201,20 @@ class SearchConfig:
         if not self.nu_grid:
             raise DomainError("the exponent grid is empty")
         for v in self.nu_grid:
-            check_exponent(v, "a grid exponent")
+            check_real(v, "a grid exponent", 0.0)
         if self.alpha_range is None:
             raise DomainError("wishart search needs an alpha range")
         alo, ahi = self.alpha_range
-        finite = math.isfinite(alo) and math.isfinite(ahi)
-        integer_shape = alo == ahi >= 1 and float(alo).is_integer()
-        if not (finite and alo <= ahi and (ahi > hi - 1 or integer_shape)):
+        alo, ahi = check_real(alo, "the lower shape"), check_real(ahi, "the upper shape")
+        integer_shape = alo == ahi >= 1 and alo.is_integer()
+        if not (alo <= ahi and (ahi > hi - 1 or integer_shape)):
             raise DomainError(
-                f"alpha range {self.alpha_range} is not finite or leaves no "
-                f"admissible shape for dimension {hi}"
+                f"alpha range {self.alpha_range} leaves no admissible shape for dimension {hi}"
             )
         if self.rho_grid is not None:
             if (lo, hi) != (2, 2):
                 raise DomainError("rho grid applies only with dims 2")
-            if any(not -1 < r < 1 for r in self.rho_grid):
+            if any(not -1 < check_real(r, "a grid correlation") < 1 for r in self.rho_grid):
                 raise DomainError(f"rho values must lie in (-1, 1), got {self.rho_grid}")
 
 

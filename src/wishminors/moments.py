@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, NotBlockDiagonal, SingularRegime
-from .errors import check_exponent
+from .errors import check_real
 from .linalg import BlockPartition, SpdMatrix, leading_logdets
 from .specfun import log_multigamma_ratio
 from .wishart import WishartParams
@@ -59,7 +59,7 @@ class MomentQuery:
     suffix: tuple[float, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        nu = tuple(check_exponent(v, "exponent") for v in self.nu)
+        nu = tuple(check_real(v, "exponent", 0.0) for v in self.nu)
         if len(nu) != self.partition.blocks:
             raise DimensionMismatch(
                 f"{len(nu)} exponents for {self.partition.blocks} blocks"
@@ -115,7 +115,7 @@ def admit_embedded(params: WishartParams, query: MomentQuery) -> None:
     """
     params.require_nonsingular("the nested-minor moment")
     query.partition.check_covers(params.dim)
-    check_exponent(query.suffix[0], "the sum of the exponents")
+    check_real(query.suffix[0], "the sum of the exponents", 0.0)
 
 
 def embedded_moment_log(params: WishartParams, query: MomentQuery) -> ExactMoment:

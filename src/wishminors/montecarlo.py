@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateEstimate, DimensionMismatch, check_int
+from .errors import DegenerateEstimate, DimensionMismatch, check_int, check_real
 from .moments import MomentQuery, admit_disjoint, admit_embedded
 from .streams import chunk_sizes, map_ordered, substreams  # noqa: F401 - bench/spans.py wraps them
 from .wishart import WishartParams, _bartlett_dofs, _factor_rows, _gram, map_chunks
@@ -205,9 +205,8 @@ def _gram_logdet(rows: list[np.ndarray]) -> np.ndarray:
         logdet += np.log(g[j][j])
     # The first pivot is a sum of squares, whose log is -inf at zero.  A later
     # pivot can come out negative or NaN, whose log is NaN: fmax turns that
-    # into -inf.  A 1x1 block skips the call: one more numpy call per unit
-    # block cost the gpi_search benchmark about 5 % of its op CPU at two
-    # workers on a 2-vCPU VM.
+    # into -inf.  A 1x1 block has no later pivot, so it skips the call: one
+    # numpy call less per unit block, in every chunk of every gpi trial.
     return np.fmax(logdet, -np.inf, out=logdet) if len(g) > 1 else logdet
 
 
@@ -258,10 +257,11 @@ def compare(exact_log: float, mc: McEstimate) -> ComparisonReport:
 
     z = (mc.mean - exp(exact_log)) / mc.stderr, evaluated as
     expm1(mean_log - exact_log) / (stderr/mean) so it stays finite even
-    when the moment itself overflows double range.
+    when the moment itself overflows double range.  ``exact_log`` must be
+    a finite real (``errors.check_real``), else DomainError.
     """
     check_int(mc.n, "the sample count to compare", 2)
-    exact_log = float(exact_log)
+    exact_log = check_real(exact_log, "the exact log moment")
     if mc.stderr_log == -math.inf:
         rel_gap = abs(math.expm1(mc.mean_log - exact_log))
         if not rel_gap <= _CONST_REL_TOL:

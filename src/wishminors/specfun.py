@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError, check_exponent, check_int
+from .errors import DomainError, check_int, check_real
 
 __all__ = ["log_multigamma", "log_multigamma_ratio"]
 
@@ -25,9 +25,9 @@ _STIRLING_FROM = 12.0
 
 
 def _check_pole(p: int, beta: float) -> tuple[int, float]:
-    """``(p, beta)`` as an int and a float; DomainError unless beta > (p - 1) / 2."""
+    """``(p, beta)`` as an int and a float; DomainError unless a finite beta > (p - 1) / 2."""
     p = check_int(p, "order p", 1)
-    beta = float(beta)
+    beta = check_real(beta, "beta")
     if not beta > (p - 1) / 2.0:
         raise DomainError(f"beta={beta} must exceed (p-1)/2 = {(p - 1) / 2}")
     return p, beta
@@ -77,8 +77,8 @@ def log_multigamma(p: int, beta: float) -> float:
     Raises
     ------
     DomainError
-        If ``p`` is not a positive integer or ``beta`` is at or below the
-        pole boundary (p - 1) / 2.
+        If ``p`` is not a positive integer, or ``beta`` is not a finite real
+        or is at or below the pole boundary (p - 1) / 2.
     """
     p, beta = _check_pole(p, beta)
     return p * (p - 1) / 4.0 * _LOG_PI + sum(_lgamma(beta - 0.5 * j) for j in range(p))
@@ -95,7 +95,7 @@ def log_multigamma_ratio(p: int, beta: float, shift: float) -> float:
     NaN or infinite shift.
     """
     p, beta = _check_pole(p, beta)
-    shift = check_exponent(shift, "shift")
+    shift = check_real(shift, "shift", 0.0)
     if shift == 0.0:
         return 0.0
     return sum(_lgamma_diff(beta - 0.5 * j, shift) for j in range(p))

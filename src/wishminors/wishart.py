@@ -15,12 +15,11 @@ rejected at construction.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NonIntegerAlpha, SingularRegime, check_int
+from .errors import DomainError, NonIntegerAlpha, SingularRegime, check_int, check_real
 from .linalg import SpdMatrix
 from .specfun import log_multigamma  # noqa: F401 - bench/spans.py wraps it
 from .streams import chunk_sizes, map_ordered, substreams
@@ -39,21 +38,25 @@ _CHUNKS = 64
 
 @dataclass(frozen=True, eq=False)
 class WishartParams:
-    """Shape/scale pair; ``nonsingular`` is ``alpha > dim - 1``, else draws have rank ``alpha``."""
+    """Shape/scale pair; ``nonsingular`` is ``alpha > dim - 1``, else draws have rank ``alpha``.
+
+    ``alpha`` must be a finite real (``errors.check_real``), stored as a float.
+    """
 
     alpha: float
     sigma: SpdMatrix
     nonsingular: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        alpha = float(self.alpha)
+        alpha = check_real(self.alpha, "shape alpha")
         object.__setattr__(self, "alpha", alpha)
         p = self.sigma.dim
-        nonsingular = math.isfinite(alpha) and alpha > p - 1
+        nonsingular = alpha > p - 1
         if not (nonsingular or (alpha >= 1 and alpha.is_integer())):
+            ranks = f" or an integer in [1, {p - 1}]" if p >= 2 else ""
             raise DomainError(
                 f"shape alpha={alpha} is not admissible for dimension {p}: "
-                f"need a finite alpha > {p - 1} or an integer in [1, {p - 1}]"
+                f"need a finite alpha > {p - 1}{ranks}"
             )
         object.__setattr__(self, "nonsingular", nonsingular)
 
@@ -156,7 +159,7 @@ def _factor_rows(params: WishartParams, method: str):
 
         return chunk_rows
     alpha = params.alpha
-    if not float(alpha).is_integer() or alpha < 1:
+    if not alpha.is_integer() or alpha < 1:
         raise NonIntegerAlpha(
             f"sum-of-outer-products sampler needs integer alpha >= 1, got {alpha}"
         )

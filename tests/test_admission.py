@@ -1,12 +1,14 @@
-"""One admission rule for every integer argument and every exponent.
+"""One admission rule for every integer argument and one for every real.
 
 Counts, sizes, seeds and orders must be a ``numbers.Integral`` other than
 ``bool`` in range, so NaN, inf, ``2.0``, ``True``, ``1.5`` and ``-1`` all get
-the typed error; exponents must be a ``numbers.Real`` other than ``bool``,
-finite and >= 0.  ``map_ordered`` and
+the typed error.  Shapes, gamma bases, exponents, correlations, variances and
+exact log values must be a ``numbers.Real`` other than ``bool`` that converts
+to a finite float; exponents must also be >= 0.  ``map_ordered`` and
 ``SearchConfig`` have their own cases in ``test_streams.py`` and ``test_gpi.py``.
 """
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from wishminors import (
     SearchConfig,
     SpdMatrix,
     WishartParams,
+    compare,
     estimate_embedded,
     gaussian_moment_log,
     log_multigamma,
@@ -30,10 +33,23 @@ from wishminors.linalg import schur_complement
 from wishminors.streams import chunk_sizes, substreams
 
 NOT_INTEGERS = (math.nan, math.inf, 2.0, True, 1.5, -1)
-NOT_EXPONENTS = (math.nan, math.inf, -1, None, "abc", "0.5", True, 1j)
+HUGE = 10**400  # an int beyond double range
+NOT_EXPONENTS = (math.nan, math.inf, -1, None, "abc", "0.5", True, 1j, HUGE, Fraction(HUGE))
+NOT_REALS = (None, "3", True, 1j, math.nan, math.inf, -math.inf, HUGE)
 
 PARAMS = WishartParams(alpha=4.0, sigma=SpdMatrix.from_array(np.eye(2)))
 QUERY = MomentQuery(partition=BlockPartition((1, 1)), nu=(1.0, 0.5))
+ESTIMATE = estimate_embedded(PARAMS, QUERY, 200, seed=1)
+
+
+def real_id(value) -> str:
+    """``repr``, with ``HUGE`` spelled 10**400."""
+    return repr(value).replace(str(HUGE), "10**400")
+
+
+def search_config(**axes) -> SearchConfig:
+    return SearchConfig(kind="wishart", trials=1, samples=100, seed=0, **axes)
+
 
 INTEGER_ENTRIES = {
     "estimate_embedded-n": (lambda v: estimate_embedded(PARAMS, QUERY, v, seed=1), DomainError),
@@ -55,10 +71,22 @@ EXPONENT_ENTRIES = {
     "log_multigamma_ratio-shift": lambda v: log_multigamma_ratio(2, 3.0, v),
     "MomentQuery": lambda v: MomentQuery(partition=BlockPartition((1, 1)), nu=(1.0, v)),
     "gaussian_moment_log": lambda v: gaussian_moment_log(v),
-    "SearchConfig-nu_grid": lambda v: SearchConfig(
-        kind="wishart", dims=(1, 2), trials=1, samples=100, seed=0, alpha_range=(1, 4),
-        nu_grid=(1.0, v),
-    ),
+    "SearchConfig-nu_grid": lambda v: search_config(dims=(1, 2), alpha_range=(1, 4),
+                                                    nu_grid=(1.0, v)),
+}
+
+# Each entry admits 0.5; the value it returns is comparable.
+REAL_ENTRIES = {
+    "WishartParams-alpha": lambda v: WishartParams(
+        alpha=v, sigma=SpdMatrix.from_array(np.eye(1))).alpha,
+    "log_multigamma-beta": lambda v: log_multigamma(1, v),
+    "log_multigamma_ratio-beta": lambda v: log_multigamma_ratio(1, v, 1.0),
+    "SearchConfig-alpha_range-lower": lambda v: search_config(dims=(1, 2), alpha_range=(v, 4)),
+    "SearchConfig-alpha_range-upper": lambda v: search_config(dims=(1, 1), alpha_range=(0.5, v)),
+    "SearchConfig-rho_grid": lambda v: search_config(dims=(2, 2), alpha_range=(1, 4),
+                                                     rho_grid=(0.0, v)),
+    "gaussian_moment_log-variance": lambda v: gaussian_moment_log(1.0, v),
+    "compare-exact_log": lambda v: compare(v, ESTIMATE).z,
 }
 
 
@@ -70,7 +98,7 @@ def test_integer_arguments_refuse_non_integers(entry, value):
         call(value)
 
 
-@pytest.mark.parametrize("value", NOT_EXPONENTS, ids=repr)
+@pytest.mark.parametrize("value", NOT_EXPONENTS, ids=real_id)
 @pytest.mark.parametrize("entry", EXPONENT_ENTRIES)
 def test_exponents_refuse_nonfinite_and_negative_values(entry, value):
     with pytest.raises(DomainError, match="finite and >= 0"):
@@ -88,3 +116,24 @@ def test_numpy_integers_are_integers():
 def test_numpy_floats_are_exponents(entry):
     # Exponents drawn from a numpy grid arrive as numpy floats.
     assert EXPONENT_ENTRIES[entry](np.float64(0.5)) == EXPONENT_ENTRIES[entry](0.5)
+
+
+@pytest.mark.parametrize("value", NOT_REALS, ids=real_id)
+@pytest.mark.parametrize("entry", REAL_ENTRIES)
+def test_real_arguments_refuse_nonfinite_and_non_real_values(entry, value):
+    with pytest.raises(DomainError, match="must be finite"):
+        REAL_ENTRIES[entry](value)
+
+
+@pytest.mark.parametrize("value", [np.float64(0.5), Fraction(1, 2)], ids=real_id)
+@pytest.mark.parametrize("entry", REAL_ENTRIES)
+def test_numpy_floats_and_fractions_are_reals(entry, value):
+    assert REAL_ENTRIES[entry](value) == REAL_ENTRIES[entry](0.5)
+
+
+def test_numpy_integers_are_reals():
+    sigma = SpdMatrix.from_array(np.eye(2))
+    assert type(WishartParams(alpha=np.int64(3), sigma=sigma).alpha) is float
+    assert log_multigamma(1, np.int64(2)) == 0.0
+    assert gaussian_moment_log(np.int64(1), np.int64(1)) == gaussian_moment_log(1.0)
+    search_config(dims=(1, 2), alpha_range=(np.int64(1), np.int64(4)))  # admitted

@@ -38,6 +38,13 @@ class TestWishartParams:
         with pytest.raises(DomainError):
             params_of(-1.0, np.eye(1))
 
+    def test_refusal_names_integer_ranks_only_from_dim_two(self):
+        # A 1x1 scale has no singular rank: every alpha > 0 is nonsingular.
+        with pytest.raises(DomainError, match=r"dimension 1: need a finite alpha > 0$"):
+            params_of(0.0, np.eye(1))
+        with pytest.raises(DomainError, match=r"alpha > 2 or an integer in \[1, 2\]$"):
+            params_of(1.5, np.eye(3))
+
 
 class TestSampleBartlett:
     def test_empty_batch(self):
