@@ -2,8 +2,8 @@
 
 Subcommands: exact, verify, sample, gpi.  Every artifact embeds the tool
 version, the fully resolved configuration and the seed, so any output
-can be regenerated from itself.  The worker count is left out: it never
-changes a result.  Exit codes:
+can be regenerated from itself.  ``--workers`` is left out: every
+subcommand runs on one thread, and the flag is only checked.  Exit codes:
 0 ok/consistent, 1 I/O or parse failure, 2 domain error, 3 verification
 inconsistency.
 """
@@ -14,7 +14,6 @@ import contextlib
 import dataclasses
 import json
 import math
-import os
 import sys
 import warnings
 
@@ -169,7 +168,7 @@ def _record(args, **fields) -> dict:
     """Run record: the tool, every parsed flag as ``config``, then ``fields``.
 
     ``config`` leaves out ``--workers``: the bytes depend on the inputs and the
-    seed only, not on the flag or on the machine's core count it defaults to.
+    seed only, not on a flag that changes nothing.
     """
     config = {k: v for k, v in vars(args).items() if k not in ("func", "workers")}
     return {
@@ -255,9 +254,9 @@ def cmd_verify(args) -> int:
     note = None
     if args.mode == "embedded":
         exact_log = embedded_moment_log(params, query).log_value
-        mc = estimate_embedded(params, query, args.samples, args.seed, args.workers)
+        mc = estimate_embedded(params, query, args.samples, args.seed)
     else:
-        mc = estimate_disjoint(params, query, args.samples, args.seed, args.workers)
+        mc = estimate_disjoint(params, query, args.samples, args.seed)
         try:
             exact_log = disjoint_moment_block_diag_log(params, query)
         except NotBlockDiagonal as exc:
@@ -314,8 +313,6 @@ def cmd_sample(args) -> int:
     with _opened(args.out) as fh:
         fh.write("draw,i,j,value\n")
         # Each chunk is written as soon as it is drawn, so memory holds one chunk.
-        # One thread: the CSV formatting holds the GIL, and chunk threads beside
-        # it cost more CPU than the drawing they take off it.
         rows = sum(map_chunks(write_chunk, count, args.seed))
     # The draws file is plain CSV; the self-describing run record goes to
     # stdout so metadata always accompanies the artifact.
@@ -324,7 +321,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_gpi(args) -> int:
-    # Every SearchConfig field is a gpi flag of the same name; --workers is only checked.
+    # Every SearchConfig field is a gpi flag of the same name.
     fields = dataclasses.fields(SearchConfig)
     config = SearchConfig(**{f.name: getattr(args, f.name) for f in fields})
     report = search(config)
@@ -368,9 +365,9 @@ def build_parser() -> _Parser:
     shared = {
         "--seed": dict(type=int, default=0, help="root RNG seed (default 0)"),
         "--workers": dict(
-            type=int, default=os.cpu_count() or 1,
-            help="threads that run verify's chunks, which other subcommands only check; "
-            "results do not depend on it (default: machine parallelism)",
+            type=int, default=1,
+            help="accepted for compatibility and checked (>= 1); it changes nothing, "
+            "since every subcommand runs on one thread (default 1)",
         ),
         "--format": dict(
             choices=("json", "csv", "table"), default="json",

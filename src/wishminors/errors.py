@@ -1,11 +1,13 @@
-"""Exception types shared across the package, and the two admission rules.
+"""Exception types shared across the package, and the admission rules.
 
 ``check_int`` admits every count, size, seed and order, ``check_real`` every
-other real argument; a domain bound such as ``alpha > p - 1`` is checked
-where it lives, after the rule.
+other real argument, and ``check_sequence`` the shape of every tuple-valued
+one; a domain bound such as ``alpha > p - 1`` is checked after them, where
+it lives.
 """
 import math
 import sys
+from collections.abc import Sequence
 from numbers import Integral, Real
 
 __all__ = [
@@ -82,3 +84,14 @@ def check_real(value, what: str, low: float = -math.inf) -> float:
         return float(value)
     bound = "" if low == -math.inf else f" and >= {low:g}"
     raise DomainError(f"{what} must be finite{bound}, got {value!r}")
+
+
+def check_sequence(value, what: str, length: int | None = None, error=DomainError) -> tuple:
+    """``value`` as a tuple; ``error`` unless it is a non-string sequence of
+    ``length`` items, or of one or more when ``length`` is None."""
+    items = isinstance(value, Sequence) and not isinstance(value, (str, bytes))
+    if items or getattr(value, "ndim", None) == 1:  # a 1-d numpy array
+        if len(value) == length or (length is None and len(value) >= 1):
+            return tuple(value)
+    count = "one or more" if length is None else length
+    raise error(f"{what} must be a sequence of {count} values, got {value!r}")

@@ -17,7 +17,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, check_int, check_real
+from .errors import DimensionMismatch, DomainError, check_int, check_real, check_sequence
 from .linalg import BlockPartition, SpdMatrix
 from .linalg import cholesky  # noqa: F401 - bench/spans.py wraps it
 from .moments import MomentQuery, block_moments_log
@@ -189,22 +189,21 @@ class SearchConfig:
         if self.kind not in ("wishart", "gaussian"):
             raise DomainError(f"kind must be 'wishart' or 'gaussian', got {self.kind!r}")
         if self.kind == "gaussian":
-            if self.alpha_range not in (None, (1.0, 1.0)):
-                raise DomainError(f"gaussian search has alpha 1, got range {self.alpha_range}")
+            given = self.alpha_range
+            if given is not None and check_sequence(given, "the alpha range", 2) != (1.0, 1.0):
+                raise DomainError(f"gaussian search has alpha 1, got range {given}")
             object.__setattr__(self, "alpha_range", (1.0, 1.0))
         check_seed(self.seed)
-        lo, hi = self.dims
+        lo, hi = check_sequence(self.dims, "the dimension range", 2)
         lo = check_int(lo, "the lower dimension", 1)
         check_int(hi, "the upper dimension", lo)
         check_int(self.trials, "trials", 1)
         check_int(self.samples, "samples per trial", 2)
-        if not self.nu_grid:
-            raise DomainError("the exponent grid is empty")
-        for v in self.nu_grid:
+        for v in check_sequence(self.nu_grid, "the exponent grid"):
             check_real(v, "a grid exponent", 0.0)
         if self.alpha_range is None:
             raise DomainError("wishart search needs an alpha range")
-        alo, ahi = self.alpha_range
+        alo, ahi = check_sequence(self.alpha_range, "the alpha range", 2)
         alo, ahi = check_real(alo, "the lower shape"), check_real(ahi, "the upper shape")
         integer_shape = alo == ahi >= 1 and alo.is_integer()
         if not (alo <= ahi and (ahi > hi - 1 or integer_shape)):
@@ -214,7 +213,8 @@ class SearchConfig:
         if self.rho_grid is not None:
             if (lo, hi) != (2, 2):
                 raise DomainError("rho grid applies only with dims 2")
-            if any(not -1 < check_real(r, "a grid correlation") < 1 for r in self.rho_grid):
+            rhos = check_sequence(self.rho_grid, "the rho grid")
+            if any(not -1 < check_real(r, "a grid correlation") < 1 for r in rhos):
                 raise DomainError(f"rho values must lie in (-1, 1), got {self.rho_grid}")
 
 

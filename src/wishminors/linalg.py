@@ -7,11 +7,12 @@ determinants, block eliminations, and quadratic forms.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPositiveDefinite, check_int
+from .errors import DimensionMismatch, NotPositiveDefinite, check_int, check_sequence
 
 __all__ = [
     "BlockPartition",
@@ -117,14 +118,10 @@ class BlockPartition:
     prefix: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        sizes = tuple(check_int(s, "block size", 1, error=DimensionMismatch) for s in self.sizes)
-        if not sizes:
-            raise DimensionMismatch("partition needs at least one block")
+        sizes = check_sequence(self.sizes, "the block sizes", error=DimensionMismatch)
+        sizes = tuple(check_int(s, "block size", 1, error=DimensionMismatch) for s in sizes)
         object.__setattr__(self, "sizes", sizes)
-        acc = [0]
-        for s in sizes:
-            acc.append(acc[-1] + s)
-        object.__setattr__(self, "prefix", tuple(acc))
+        object.__setattr__(self, "prefix", tuple(itertools.accumulate(sizes, initial=0)))
 
     @property
     def blocks(self) -> int:

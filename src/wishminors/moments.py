@@ -17,13 +17,14 @@ case the blocks are independent Wisharts with the full shape alpha.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, NotBlockDiagonal, SingularRegime
-from .errors import check_real
+from .errors import check_real, check_sequence
 from .linalg import BlockPartition, SpdMatrix, leading_logdets
 from .specfun import log_multigamma_ratio
 from .wishart import WishartParams
@@ -59,18 +60,13 @@ class MomentQuery:
     suffix: tuple[float, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        nu = tuple(check_real(v, "exponent", 0.0) for v in self.nu)
+        nu = check_sequence(self.nu, "the exponents", error=DimensionMismatch)
+        nu = tuple(check_real(v, "exponent", 0.0) for v in nu)
         if len(nu) != self.partition.blocks:
-            raise DimensionMismatch(
-                f"{len(nu)} exponents for {self.partition.blocks} blocks"
-            )
+            raise DimensionMismatch(f"{len(nu)} exponents for {self.partition.blocks} blocks")
         object.__setattr__(self, "nu", nu)
-        acc = 0.0
-        rev = []
-        for v in reversed(nu):
-            acc += v
-            rev.append(acc)
-        object.__setattr__(self, "suffix", tuple(reversed(rev)))
+        suffix = itertools.accumulate(reversed(nu), initial=0.0)  # 0, V_d, ..., V_1
+        object.__setattr__(self, "suffix", tuple(suffix)[:0:-1])
 
 
 @dataclass(frozen=True)

@@ -103,15 +103,15 @@ def _verdict_for(z: float) -> Verdict:
     return Verdict.INCONSISTENT
 
 
-def estimate_log_statistic(stat_fn, n: int, seed: int, workers: int = 1) -> McEstimate:
+def estimate_log_statistic(stat_fn, n: int, seed: int) -> McEstimate:
     """Estimate E[exp(s)] where ``stat_fn(rng, m)`` draws m values of s.
 
     ``map_chunks`` splits the sample into ``min(n, 64)`` chunks, one Philox
     substream each; chunk log-sum-exp reductions are merged in fixed chunk
     order under a running-max shift, so the result depends only on
-    ``(n, seed)``, not on ``workers``, and never overflows on the way to the
-    final mean.  The standard error needs an integer ``n >= 2`` (``2.0`` is
-    refused), which ``errors.check_int`` checks before any draw.
+    ``(n, seed)`` and never overflows on the way to the final mean.  The
+    standard error needs an integer ``n >= 2`` (``2.0`` is refused), which
+    ``errors.check_int`` checks before any draw.
     """
     n = check_int(n, "sample count", 2)
 
@@ -130,7 +130,7 @@ def estimate_log_statistic(stat_fn, n: int, seed: int, workers: int = 1) -> McEs
         log_mean = top + math.log(float(np.exp(s - top).sum())) - math.log(m)
         return log_mean, m, top
 
-    log_means, sizes, tops = zip(*map_chunks(run, n, seed, workers))
+    log_means, sizes, tops = zip(*map_chunks(run, n, seed))
     chunk_log_means = np.array(log_means)
     n_chunks = len(sizes)
     max_log = max(tops)
@@ -173,7 +173,7 @@ def _embedded_stat_factory(params: WishartParams, query: MomentQuery):
 
 
 def estimate_embedded(
-    params: WishartParams, query: MomentQuery, n: int, seed: int, workers: int = 1
+    params: WishartParams, query: MomentQuery, n: int, seed: int
 ) -> McEstimate:
     """Estimate the joint moment of nested leading-block minors.
 
@@ -182,7 +182,7 @@ def estimate_embedded(
     so a draw needs only the p Bartlett chi-squares, taken in log space.
     """
     admit_embedded(params, query)
-    return estimate_log_statistic(_embedded_stat_factory(params, query), n, seed, workers)
+    return estimate_log_statistic(_embedded_stat_factory(params, query), n, seed)
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
@@ -233,7 +233,7 @@ def _disjoint_stat(params: WishartParams, query: MomentQuery):
 
 
 def estimate_disjoint(
-    params: WishartParams, query: MomentQuery, n: int, seed: int, workers: int = 1
+    params: WishartParams, query: MomentQuery, n: int, seed: int
 ) -> McEstimate:
     """Estimate the joint moment of disjoint diagonal-block minors.
 
@@ -244,12 +244,12 @@ def estimate_disjoint(
     equals the samplers' diagonal block bit for bit.  Only the weighted
     blocks' rows of T are built, batch-last.  A block's log-minor is the
     log-determinant of its rows' Gram matrix, from Gaussian elimination
-    vectorized across the chunk (``_gram_logdet``) rather than a LAPACK
-    call per draw, which would contend for OpenBLAS's buffer lock across
-    workers.  A draw whose block is numerically singular gets ``-inf``.
+    vectorized across the chunk (``_gram_logdet``): a few numpy calls per
+    chunk instead of one LAPACK call per draw.  A draw whose block is
+    numerically singular gets ``-inf``.
     """
     admit_disjoint(params, query)
-    return estimate_log_statistic(_disjoint_stat(params, query), n, seed, workers)
+    return estimate_log_statistic(_disjoint_stat(params, query), n, seed)
 
 
 def compare(exact_log: float, mc: McEstimate) -> ComparisonReport:

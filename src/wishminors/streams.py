@@ -1,15 +1,12 @@
-"""Deterministic parallel random number streams.
+"""Deterministic random number streams.
 
 All samplers draw from Philox generators seeded by the children that
 ``SeedSequence.spawn`` makes of one seed; no stream uses Philox's counter.
 ``wishart.map_chunks`` fixes the stream layout (how many substreams, which
-draws each one covers) from the draw count alone and uses ``map_ordered``
-only to schedule chunks onto threads, so results depend on ``(n, seed)``
-and are bit-identical for any worker count.
+draws each one covers) from the draw count alone and runs the chunks in
+order through ``map_ordered``, so results depend on ``(n, seed)`` alone.
 """
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -44,15 +41,10 @@ def chunk_sizes(total: int, chunks: int) -> list[int]:
     return [base + 1 if i < extra else base for i in range(chunks)]
 
 
-def map_ordered(fn, items, workers: int = 1) -> list:
-    """Apply ``fn`` to each item, in parallel when ``workers > 1``.
+def map_ordered(fn, items) -> list:
+    """``[fn(item) for item in items]``, in order on the calling thread.
 
-    Results come back in input order regardless of completion order, so
-    downstream reductions are deterministic.
+    Every chunk and every gpi trial runs through it, so ``bench/spans.py``
+    sees each one as a task.  Threads cost more CPU than they saved.
     """
-    workers = check_int(workers, "workers", 1)
-    items = list(items)
-    if workers == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    return [fn(item) for item in items]

@@ -85,17 +85,17 @@ class SampleBatch:
     factors: np.ndarray | None
 
 
-def map_chunks(fn, n: int, seed: int, workers: int = 1) -> list:
+def map_chunks(fn, n: int, seed: int) -> list:
     """Map ``fn((rng, start, m))`` over ``n`` draws split into ``min(n, 64)`` chunks.
 
     Chunk ``i`` holds draws ``start, ..., start + m - 1``, drawn from
-    substream ``i`` of ``seed``, and the results come back in chunk order,
-    so they depend on ``(n, seed)`` alone: ``workers`` only schedules chunks
-    onto threads.  Zero draws give ``[]``.
+    substream ``i`` of ``seed``.  The chunks run in order on the calling
+    thread, so the results depend on ``(n, seed)`` alone.  Zero draws give
+    ``[]``.
     """
     sizes = chunk_sizes(n, min(n, _CHUNKS)) if n else []
     starts = itertools.accumulate(sizes, initial=0)
-    return map_ordered(fn, zip(substreams(seed, len(sizes)), starts, sizes), workers=workers)
+    return map_ordered(fn, zip(substreams(seed, len(sizes)), starts, sizes))
 
 
 def _bartlett_dofs(alpha: float, p: int) -> np.ndarray:
@@ -219,7 +219,7 @@ def chunk_sampler(params: WishartParams, method: str):
     return draw
 
 
-def _sample_batch(params, method, count, seed, workers) -> SampleBatch:
+def _sample_batch(params, method, count, seed) -> SampleBatch:
     """Draw ``count`` matrices from ``chunk_sampler(params, method)`` as a batch.
 
     Each chunk writes its draws, and for the bartlett method its zero-padded
@@ -237,16 +237,14 @@ def _sample_batch(params, method, count, seed, workers) -> SampleBatch:
         rows = slice(start, start + m)
         draw(rng, m, draws[rows], None if factors is None else factors[rows])
 
-    map_chunks(run, count, seed, workers)
+    map_chunks(run, count, seed)
     draws.setflags(write=False)
     if factors is not None:
         factors.setflags(write=False)
     return SampleBatch(draws=draws, factors=factors)
 
 
-def sample_bartlett(
-    params: WishartParams, count: int, seed: int, workers: int = 1
-) -> SampleBatch:
+def sample_bartlett(params: WishartParams, count: int, seed: int) -> SampleBatch:
     """Sample via the triangular (Bartlett) decomposition.
 
     Each draw is ``(L A)(L A)^T`` where ``L`` is the scale's Cholesky
@@ -260,30 +258,26 @@ def sample_bartlett(
         Number of draws (>= 0).
     seed : int
         Root seed; the draws depend only on (seed, count), see ``map_chunks``.
-    workers : int
-        Threads that run the chunks; it does not change the draws.
 
     Returns
     -------
     SampleBatch
         With ``factors`` populated.
     """
-    return _sample_batch(params, "bartlett", count, seed, workers)
+    return _sample_batch(params, "bartlett", count, seed)
 
 
-def sample_gaussian_sum(
-    params: WishartParams, count: int, seed: int, workers: int = 1
-) -> SampleBatch:
+def sample_gaussian_sum(params: WishartParams, count: int, seed: int) -> SampleBatch:
     """Sample as a sum of ``alpha`` Gaussian outer products.
 
     Each draw is ``sum_{k=1}^{alpha} z_k z_k^T`` with ``z_k ~ N(0, sigma)``
     i.i.d., which works for any positive integer shape including the
     singular regime ``alpha <= dim - 1``.  Like ``sample_bartlett``, the
-    draws depend only on (seed, count), not on ``workers``.
+    draws depend only on (seed, count).
 
     Raises
     ------
     NonIntegerAlpha
         If the shape is not a positive integer.
     """
-    return _sample_batch(params, "gaussian-sum", count, seed, workers)
+    return _sample_batch(params, "gaussian-sum", count, seed)

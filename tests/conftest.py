@@ -2,13 +2,8 @@
 import numpy as np
 import pytest
 
-import wishminors.wishart
 from wishminors import BlockPartition, SpdMatrix
 from wishminors.wishart import _bartlett_dofs, _bartlett_variates
-
-# Worker counts a result must not depend on; the last two exceed the chunk count.
-WORKER_COUNTS = (1, 2, 3, 65, 128)
-
 
 def random_spd(rng, dim, cond=100.0, scale=1.0):
     """Random SPD matrix with eigenvalues geomspaced over [scale, cond*scale]."""
@@ -67,15 +62,3 @@ def reference_factor(params, method):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260814)
-
-
-def serial_chunks_above(monkeypatch, workers, limit=3):
-    """Run chunks in order on this thread when ``workers > limit``.
-
-    The chunk driver then gets the large worker count but starts no threads.
-    """
-    if workers > limit:
-        monkeypatch.setattr(
-            wishminors.wishart, "map_ordered",
-            lambda fn, items, workers=1: [fn(item) for item in items],
-        )

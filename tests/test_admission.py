@@ -1,11 +1,12 @@
-"""One admission rule for every integer argument and one for every real.
+"""One admission rule for every integer argument, one for every real, one for every tuple.
 
 Counts, sizes, seeds and orders must be a ``numbers.Integral`` other than
 ``bool`` in range, so NaN, inf, ``2.0``, ``True``, ``1.5`` and ``-1`` all get
 the typed error.  Shapes, gamma bases, exponents, correlations, variances and
 exact log values must be a ``numbers.Real`` other than ``bool`` that converts
-to a finite float; exponents must also be >= 0.  ``map_ordered`` and
-``SearchConfig`` have their own cases in ``test_streams.py`` and ``test_gpi.py``.
+to a finite float; exponents must also be >= 0.  Tuple-valued arguments must
+be a sequence other than a string, or a 1-d numpy array, of the right length.
+``SearchConfig`` has more cases in ``test_gpi.py``.
 """
 import math
 from fractions import Fraction
@@ -129,6 +130,57 @@ def test_real_arguments_refuse_nonfinite_and_non_real_values(entry, value):
 @pytest.mark.parametrize("entry", REAL_ENTRIES)
 def test_numpy_floats_and_fractions_are_reals(entry, value):
     assert REAL_ENTRIES[entry](value) == REAL_ENTRIES[entry](0.5)
+
+
+# Tuple-valued arguments of the wrong shape, each refused before any unpack.
+SHAPE_ENTRIES = {
+    "SearchConfig-dims-(1, 2, 3)": (lambda: search_config(dims=(1, 2, 3), alpha_range=(1, 4)),
+                                    DomainError),
+    "SearchConfig-dims-2": (lambda: search_config(dims=2, alpha_range=(1, 4)), DomainError),
+    "SearchConfig-dims-'12'": (lambda: search_config(dims="12", alpha_range=(1, 4)), DomainError),
+    "SearchConfig-alpha_range-(1, 2, 3)": (
+        lambda: search_config(dims=(1, 2), alpha_range=(1, 2, 3)), DomainError),
+    "SearchConfig-alpha_range-4": (lambda: search_config(dims=(1, 2), alpha_range=4), DomainError),
+    "SearchConfig-gaussian-alpha_range-(1, 1, 1)": (
+        lambda: SearchConfig(kind="gaussian", dims=(2, 2), trials=1, samples=100, seed=0,
+                             alpha_range=(1, 1, 1)), DomainError),
+    "SearchConfig-rho_grid-0.5": (
+        lambda: search_config(dims=(2, 2), alpha_range=(1, 4), rho_grid=0.5), DomainError),
+    "SearchConfig-rho_grid-()": (
+        lambda: search_config(dims=(2, 2), alpha_range=(1, 4), rho_grid=()), DomainError),
+    "SearchConfig-nu_grid-1.0": (
+        lambda: search_config(dims=(1, 2), alpha_range=(1, 4), nu_grid=1.0), DomainError),
+    "SearchConfig-nu_grid-()": (
+        lambda: search_config(dims=(1, 2), alpha_range=(1, 4), nu_grid=()), DomainError),
+    "MomentQuery-nu-0.5": (lambda: MomentQuery(partition=BlockPartition((1,)), nu=0.5),
+                           DimensionMismatch),
+    "MomentQuery-nu-'1'": (lambda: MomentQuery(partition=BlockPartition((1,)), nu="1"),
+                           DimensionMismatch),
+    "MomentQuery-nu-{0.5}": (lambda: MomentQuery(partition=BlockPartition((1,)), nu={0.5}),
+                             DimensionMismatch),
+    "BlockPartition-2": (lambda: BlockPartition(2), DimensionMismatch),
+    "BlockPartition-()": (lambda: BlockPartition(()), DimensionMismatch),
+    "BlockPartition-2d-array": (lambda: BlockPartition(np.ones((1, 2), dtype=int)),
+                                DimensionMismatch),
+}
+
+
+@pytest.mark.parametrize("entry", SHAPE_ENTRIES)
+def test_tuple_arguments_refuse_wrong_shapes(entry):
+    call, error = SHAPE_ENTRIES[entry]
+    with pytest.raises(error, match="must be a sequence of"):
+        call()
+
+
+def test_lists_and_numpy_vectors_are_sequences():
+    assert BlockPartition([1, 2]).sizes == BlockPartition(np.array([1, 2])).sizes == (1, 2)
+    query = MomentQuery(partition=BlockPartition((1, 1)), nu=np.array([0.5, 1.0]))
+    assert query.nu == (0.5, 1.0) and query.suffix == (1.5, 1.0)
+    search_config(dims=[1, 2], alpha_range=np.array([1.0, 4.0]), nu_grid=[1.0])  # admitted
+    for given in ([1.0, 1.0], np.array([1.0, 1.0])):
+        config = SearchConfig(kind="gaussian", dims=(2, 2), trials=1, samples=100, seed=0,
+                              alpha_range=given)
+        assert config.alpha_range == (1.0, 1.0)
 
 
 def test_numpy_integers_are_reals():

@@ -2,7 +2,7 @@
 
 Each name in its BINDINGS table must stay an attribute of its module, or a
 traced benchmark run fails when it installs the tracer.  The chunk driver
-must also call the bindings the tracer wraps, or a traced op's pool-thread
+must also call the bindings the tracer wraps, or a traced op's chunk task
 spans lose their parent.
 """
 import importlib

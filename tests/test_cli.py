@@ -395,7 +395,7 @@ class TestSample:
             got[int(t), int(i), int(j)] = float(v)
             got[int(t), int(j), int(i)] = float(v)
         params = WishartParams(alpha=2.5, sigma=SpdMatrix.from_array(sigma))
-        want = sample_bartlett(params, 3, 9, workers=1).draws
+        want = sample_bartlett(params, 3, 9).draws
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize(
@@ -409,7 +409,7 @@ class TestSample:
         params = WishartParams(alpha=alpha, sigma=SpdMatrix.from_array(sigma))
         # 1001 draws: chunks of 16 and of 15, each numbered from its own start.
         for count in (70, 1001):
-            draws = sampler(params, count, 4, workers=1).draws
+            draws = sampler(params, count, 4).draws
             want = "draw,i,j,value\n" + "".join(
                 f"{t},{r},{c},{fmt_float(draw[r, c])}\n"
                 for t, draw in enumerate(draws)
@@ -518,6 +518,16 @@ GPI_SEARCHES = {
     "gaussian": ["--kind", "gaussian", "--dims", "2:3"],
 }
 
+# One run of each subcommand; every one but gpi also takes a --sigma.
+MOMENT_ARGS = ["--alpha", "4.5", "--partition", "1,2", "--nu", "1,0.5"]
+SUBCOMMAND_RUNS = {
+    "exact": ["exact", *MOMENT_ARGS],
+    "verify-embedded": ["verify", *MOMENT_ARGS, "--mode", "embedded", "--samples", "2000"],
+    "verify-disjoint": ["verify", *MOMENT_ARGS, "--mode", "disjoint", "--samples", "2000"],
+    "sample": ["sample", "--alpha", "4.5", "--count", "200", "--method", "bartlett"],
+    "gpi": ["gpi", *GPI_SEARCHES["wishart"], "--trials", "3", "--samples", "2000"],
+}
+
 
 class TestGpi:
     @pytest.mark.parametrize("search", GPI_SEARCHES)
@@ -532,17 +542,25 @@ class TestGpi:
             outs.append(out)
         assert len(outs[0].splitlines()) == 5 and outs[0] == outs[1]
 
-    def test_search_starts_no_thread(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("argv", SUBCOMMAND_RUNS.values(), ids=SUBCOMMAND_RUNS)
+    def test_search_starts_no_thread(self, monkeypatch, tmp_path, capsys, argv):
+        # Every subcommand runs on the calling thread, whatever --workers says.
         def refuse(thread):
-            raise AssertionError(f"gpi started thread {thread.name}")
+            raise AssertionError(f"{argv[0]} started thread {thread.name}")
 
+        if argv[0] != "gpi":
+            sigma = [[2.0, 0.0, 0.0], [0.0, 1.0, 0.3], [0.0, 0.3, 1.5]]
+            argv = [*argv, "--sigma", sigma_file(tmp_path, sigma)]
+        dest = tmp_path / "out.txt"
         monkeypatch.setattr(threading.Thread, "start", refuse)
-        code, out, _ = run(
-            capsys, "gpi", *GPI_SEARCHES["wishart"], "--trials", "3",
-            "--samples", "2000", "--workers", "4",
-        )
-        assert code == EXIT_OK
-        assert len(out.splitlines()) == 4
+        code, _, _ = run(capsys, *argv, "--workers", "4", "--out", str(dest))
+        assert code == EXIT_OK and dest.stat().st_size > 0
+
+    @pytest.mark.parametrize("argv", SUBCOMMAND_RUNS.values(), ids=SUBCOMMAND_RUNS)
+    def test_workers_defaults_to_one(self, argv):
+        # Not the machine's core count: the flag is checked, and changes nothing.
+        sigma = [] if argv[0] == "gpi" else ["--sigma", "sigma.csv"]
+        assert build_parser().parse_args([*argv, *sigma]).workers == 1
 
     def test_gaussian_rho_sweep_jsonl(self, tmp_path, capsys):
         dest = tmp_path / "trials.jsonl"
@@ -879,7 +897,22 @@ print(json.dumps({"loaded": loaded, "schur": schur}))
 """
 
 
+_NO_POOL_SCRIPT = """
+import sys
+import numpy, scipy
+before = "concurrent.futures" in sys.modules
+import wishminors.cli
+print(before, "concurrent.futures" in sys.modules)
+"""
+
+
 class TestImportFootprint:
+    def test_cli_import_loads_no_thread_pool(self):
+        # numpy and scipy do not load concurrent.futures; the package must not either.
+        proc = run_subprocess("-c", _NO_POOL_SCRIPT)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False False\n"
+
     def test_cli_import_loads_no_scipy_submodule(self):
         proc = run_subprocess("-c", _FOOTPRINT_SCRIPT)
         assert proc.returncode == 0, proc.stderr

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.linalg import block_diag
 
 import wishminors.montecarlo
 from wishminors import (
@@ -17,6 +18,7 @@ from wishminors import (
     SpdMatrix,
     Verdict,
     WishartParams,
+    block_moments_log,
     compare,
     disjoint_moment_block_diag_log,
     embedded_moment_log,
@@ -31,7 +33,7 @@ from wishminors.gpi import WishartGpiInstance
 from wishminors.montecarlo import _embedded_stat_factory, _gram_logdet, _verdict_for
 from wishminors.streams import chunk_sizes, substreams
 from wishminors.wishart import _gram
-from conftest import WORKER_COUNTS, random_spd, reference_factor, serial_chunks_above
+from conftest import random_spd, reference_factor
 
 
 def params_of(alpha, sigma):
@@ -63,19 +65,9 @@ class TestEngine:
         def stat(rng, m):
             return rng.standard_normal(m)
 
-        a = estimate_log_statistic(stat, 5_000, seed=7, workers=1)
-        b = estimate_log_statistic(stat, 5_000, seed=7, workers=1)
+        a = estimate_log_statistic(stat, 5_000, seed=7)
+        b = estimate_log_statistic(stat, 5_000, seed=7)
         assert (a.mean_log, a.stderr_log) == (b.mean_log, b.stderr_log)
-
-    def test_worker_count_invariant_below_chunk_floor(self):
-        # the chunk layout is min(n, 64) whatever the worker count
-        def stat(rng, m):
-            return rng.standard_normal(m)
-
-        a = estimate_log_statistic(stat, 10_000, seed=3, workers=1)
-        b = estimate_log_statistic(stat, 10_000, seed=3, workers=4)
-        assert a.mean_log == b.mean_log
-        assert a.stderr_log == b.stderr_log
 
     def test_extreme_scale_stays_finite_in_logs(self):
         def stat(rng, m):
@@ -124,8 +116,6 @@ class TestEngine:
     def test_bad_inputs(self):
         with pytest.raises(DomainError):
             estimate_log_statistic(lambda r, m: np.zeros(m), 0, seed=1)
-        with pytest.raises(DomainError):
-            estimate_log_statistic(lambda r, m: np.zeros(m), 10, seed=1, workers=0)
 
         def refuse(rng, m):
             raise AssertionError("drew before refusing one sample")
@@ -272,15 +262,6 @@ class TestEstimateDisjoint:
         assert a.mean_log == pytest.approx(b.mean_log, rel=1e-10)
         assert a.stderr_log == pytest.approx(b.stderr_log, rel=1e-10)
 
-    @pytest.mark.parametrize("workers", WORKER_COUNTS[1:])
-    def test_estimate_ignores_workers(self, monkeypatch, workers):
-        pr = params_of(4.5, [[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.5]])
-        q = MomentQuery(partition=BlockPartition((1, 2)), nu=(1.0, 0.5))
-        want = estimate_disjoint(pr, q, 1_000, seed=41, workers=1)
-        serial_chunks_above(monkeypatch, workers)
-        got = estimate_disjoint(pr, q, 1_000, seed=41, workers=workers)
-        assert got == want
-
 
 def batch_last(rows):
     """The rows of an (m, k, n) block as the list of k batch-last (n, m) rows."""
@@ -354,7 +335,7 @@ class TestGramLogdet:
         q = MomentQuery(partition=BlockPartition((4, 4, 4)), nu=(1.0, 0.5, 1.5))
         want = disjoint_moment_block_diag_log(params_of(14.0, np.eye(12)), q)
         monkeypatch.setattr(np.linalg, "slogdet", refuse)
-        est = estimate_disjoint(params_of(14.0, np.eye(12)), q, 2_000, seed=53, workers=2)
+        est = estimate_disjoint(params_of(14.0, np.eye(12)), q, 2_000, seed=53)
         assert abs(compare(want, est).z) <= 4.0
 
 
@@ -504,12 +485,12 @@ class TestOneFactor:
             return g
 
         monkeypatch.setattr(wishminors.montecarlo, "_gram", recording_gram)
-        estimate_disjoint(params, query, n, seed, workers=1)
+        estimate_disjoint(params, query, n, seed)
         draws = sampler(params, n, seed).draws
         prefix = query.partition.prefix
         assert len(grams) == len(sizes) * 64
         for k, (a, b) in enumerate(zip(prefix, prefix[1:])):
-            chunks = grams[k :: len(sizes)]  # chunks run in order at one worker
+            chunks = grams[k :: len(sizes)]  # chunks run in order
             for r in range(b - a):
                 for s in range(r + 1):
                     got = np.concatenate([g[r][s] for g in chunks])
@@ -562,6 +543,42 @@ class TestCompare:
             assert v is Verdict.SUSPICIOUS
         else:
             assert v is Verdict.INCONSISTENT
+
+
+class TestErrorBar:
+    @pytest.mark.parametrize(
+        "path, alpha, sizes, nu, n",
+        [
+            ("embedded", 3.0, (1, 1), (1.0, 1.0), 16_000),
+            ("embedded", 6.5, (2, 1), (1.5, 0.5), 16_000),
+            ("disjoint", 5.5, (1, 2), (1.0, 0.5), 10_000),
+            ("disjoint", 7.0, (2, 2), (0.5, 0.5), 10_000),
+        ],
+        ids=["embedded-1,1", "embedded-2,1", "disjoint-1,2", "disjoint-2,2"],
+    )
+    def test_rel_stderr_matches_exact_second_moment(self, rng, path, alpha, sizes, nu, n):
+        # A draw's statistic exp(s) has second moment M(2 nu), so the plain
+        # mean's exact relative standard error is
+        # r = sqrt(expm1(M(2 nu) - 2 M(nu)) / n).  Where the tail is light,
+        # the batch-means rel_stderr must average to r over seeds; one seed
+        # spreads by about 0.1 of r, the mean of 40 by about 0.016.
+        if path == "embedded":
+            sigma = random_spd(rng, sum(sizes), cond=10.0)
+            moment, estimate = embedded_moment_log, estimate_embedded
+        else:
+            sigma = block_diag(*(random_spd(rng, s, cond=10.0) for s in sizes))
+            moment, estimate = block_moments_log, estimate_disjoint
+        params = params_of(alpha, sigma)
+
+        def query(exponents):
+            return MomentQuery(partition=BlockPartition(sizes), nu=exponents)
+
+        m1 = moment(params, query(nu)).log_value
+        m2 = moment(params, query(tuple(2.0 * v for v in nu))).log_value
+        r = math.sqrt(math.expm1(m2 - 2.0 * m1) / n)
+        assert r <= 0.03
+        ratios = [estimate(params, query(nu), n, seed=seed).rel_stderr / r for seed in range(40)]
+        assert 0.9 <= np.mean(ratios) <= 1.1, f"mean rel_stderr / r = {np.mean(ratios):.3f}"
 
 
 class TestAdvisoryFlag:

@@ -47,12 +47,4 @@ def test_seed_validation():
 
 def test_map_ordered_matches_serial():
     items = list(range(23))
-    serial = map_ordered(lambda x: x * x, items, workers=1)
-    threaded = map_ordered(lambda x: x * x, items, workers=4)
-    assert serial == threaded == [x * x for x in items]
-
-
-@pytest.mark.parametrize("workers", [1.5, 2.0, "2", 0, float("nan"), float("inf"), True, -1])
-def test_map_ordered_refuses_a_non_integer_worker_count(workers):
-    with pytest.raises(DomainError, match="integer"):
-        map_ordered(lambda x: x, range(3), workers=workers)
+    assert map_ordered(lambda x: x * x, iter(items)) == [x * x for x in items]

@@ -1,5 +1,4 @@
 import math
-import sys
 import tracemalloc
 
 import numpy as np
@@ -16,7 +15,7 @@ from wishminors import (
 )
 from wishminors.streams import chunk_sizes, substreams
 from wishminors.wishart import _factor_rows
-from conftest import WORKER_COUNTS, random_spd, reference_factor, serial_chunks_above
+from conftest import random_spd, reference_factor
 
 
 def params_of(alpha, sigma):
@@ -54,16 +53,10 @@ class TestSampleBartlett:
 
     def test_reproducible_across_calls(self):
         pr = params_of(3.5, [[2.0, 1.0], [1.0, 3.0]])
-        a = sample_bartlett(pr, 50, seed=9, workers=1)
-        b = sample_bartlett(pr, 50, seed=9, workers=1)
+        a = sample_bartlett(pr, 50, seed=9)
+        b = sample_bartlett(pr, 50, seed=9)
         assert np.array_equal(a.draws, b.draws)
         assert np.array_equal(a.factors, b.factors)
-
-    def test_worker_layout_is_reproducible(self):
-        pr = params_of(3.5, [[2.0, 1.0], [1.0, 3.0]])
-        a = sample_bartlett(pr, 51, seed=9, workers=3)
-        b = sample_bartlett(pr, 51, seed=9, workers=3)
-        assert np.array_equal(a.draws, b.draws)
 
     def test_factors_reconstruct_draws(self, rng):
         pr = params_of(4.0, random_spd(rng, 3, cond=10.0))
@@ -145,38 +138,20 @@ class TestSampleGaussianSum:
 
     def test_reproducible(self):
         pr = params_of(2.0, [[1.0, 0.25], [0.25, 1.0]])
-        a = sample_gaussian_sum(pr, 64, seed=11, workers=2)
-        b = sample_gaussian_sum(pr, 64, seed=11, workers=2)
+        a = sample_gaussian_sum(pr, 64, seed=11)
+        b = sample_gaussian_sum(pr, 64, seed=11)
         assert np.array_equal(a.draws, b.draws)
         assert a.factors is None
-
-
-class TestWorkerInvariance:
-    @pytest.mark.parametrize("workers", WORKER_COUNTS[1:])
-    @pytest.mark.parametrize(
-        "sampler", [sample_bartlett, sample_gaussian_sum], ids=["bartlett", "gaussian_sum"]
-    )
-    def test_draws_ignore_workers(self, monkeypatch, sampler, workers):
-        pr = params_of(4.0, [[2.0, 0.5, 0.0], [0.5, 1.0, 0.3], [0.0, 0.3, 1.5]])
-        want = sampler(pr, 100, seed=7, workers=1)
-        serial_chunks_above(monkeypatch, workers)
-        got = sampler(pr, 100, seed=7, workers=workers)
-        assert np.array_equal(got.draws, want.draws)
-        if want.factors is None:
-            assert got.factors is None
-        else:
-            assert np.array_equal(got.factors, want.factors)
 
 
 SAMPLERS = [("bartlett", sample_bartlett), ("gaussian-sum", sample_gaussian_sum)]
 
 
 class TestBatchLayout:
-    @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("method, sampler", SAMPLERS, ids=["bartlett", "gaussian_sum"])
-    def test_matches_chunkwise_reference(self, rng, method, sampler, workers):
-        # 1001 = 64 * 15 + 41: the chunks differ in size.  Threads write
-        # disjoint rows of one array; a short switch interval interleaves them.
+    def test_matches_chunkwise_reference(self, rng, method, sampler):
+        # 1001 = 64 * 15 + 41: the chunks differ in size, and each writes
+        # its own rows of one array.
         pr = params_of(7.0, random_spd(rng, 6, cond=10.0))
         count = 1001
         draw = reference_factor(pr, method)
@@ -184,12 +159,7 @@ class TestBatchLayout:
             draw(g, m) for g, m in zip(substreams(13, 64), chunk_sizes(count, 64))
         ])
         x = np.matmul(t, t.transpose(0, 2, 1))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            batch = sampler(pr, count, seed=13, workers=workers)
-        finally:
-            sys.setswitchinterval(interval)
+        batch = sampler(pr, count, seed=13)
         # The sampler's row recurrence and Gram round differently from the
         # reference's BLAS products: entry (r, s) may move by 1e-14 of
         # sqrt(x_rr x_ss), the scale of |T_r| |T_s| (largest seen 5e-16).
@@ -203,17 +173,16 @@ class TestBatchLayout:
         assert not batch.draws.flags.writeable
         assert batch.factors is None or not batch.factors.flags.writeable
 
-    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize(
         "sampler", [sample_bartlett, sample_gaussian_sum], ids=["bartlett", "gaussian_sum"]
     )
-    def test_peak_memory_is_the_batch(self, rng, sampler, workers):
+    def test_peak_memory_is_the_batch(self, rng, sampler):
         # Chunks write into the returned arrays, so beyond them only one
-        # chunk's temporaries per worker are alive at a time.
+        # chunk's temporaries are alive at a time.
         pr = params_of(7.0, random_spd(rng, 6, cond=10.0))
         tracemalloc.start()
         try:
-            batch = sampler(pr, 20_000, seed=1, workers=workers)
+            batch = sampler(pr, 20_000, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
