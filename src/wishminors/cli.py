@@ -32,7 +32,6 @@ from .linalg import BlockPartition, SpdMatrix
 from .moments import (
     MomentQuery,
     block_moments_log,
-    check_block_diagonal,
     disjoint_moment_block_diag_log,
     embedded_moment_log,
 )
@@ -231,9 +230,9 @@ def _moment_inputs(args):
 def cmd_exact(args) -> int:
     params, query = _moment_inputs(args)
     if args.disjoint_blockdiag:
+        # Refuse through the call verify makes, then take the factors.
+        disjoint_moment_block_diag_log(params, query)
         exact = block_moments_log(params, query)
-        # Admitting the shape first makes a refusal read as verify's does.
-        check_block_diagonal(params.sigma, query.partition)
     else:
         exact = embedded_moment_log(params, query)
     record = _record(
@@ -351,6 +350,7 @@ def _print_gpi_summary(report) -> None:
             f"{rec.index:>5} {rec.kind:>8} {res.instance.params.dim:>3} "
             f"{res.ratio:>12.6g} {res.violation_z:>9.3f} {res.verdict.value}"
             + (" (escalated)" if res.escalated else "")
+            + (" (unreliable)" if res.numerator.unreliable else "")
             + "\n"
         )
 

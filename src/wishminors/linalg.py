@@ -99,10 +99,6 @@ class SpdMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    @property
-    def logdet(self) -> float:
-        return float(2.0 * np.sum(np.log(np.diag(self.chol))))
-
 
 @dataclass(frozen=True)
 class BlockPartition:

@@ -190,24 +190,15 @@ def disjoint_moment_block_diag_log(params: WishartParams, query: MomentQuery) ->
         entry; the message pinpoints the worst offender.
     """
     exact = block_moments_log(params, query)
-    check_block_diagonal(params.sigma, query.partition)
-    return exact.log_value
-
-
-def check_block_diagonal(sigma: SpdMatrix, part: BlockPartition) -> None:
-    """Raise NotBlockDiagonal unless sigma is block diagonal along ``part``.
-
-    An off-block entry counts as coupling when it exceeds 1e-12 times the
-    largest diagonal entry; the message pinpoints the worst offender.
-    """
-    part.check_covers(sigma.dim)
-    off = np.abs(sigma.entries)
-    for a, b in zip(part.prefix, part.prefix[1:]):
+    sigma, prefix = params.sigma.entries, query.partition.prefix
+    off = np.abs(sigma)
+    for a, b in zip(prefix, prefix[1:]):
         off[a:b, a:b] = 0.0
     r, c = (int(i) for i in np.unravel_index(np.argmax(off), off.shape))
     worst = float(off[r, c])
-    tol = _BLOCK_DIAG_TOL * float(np.max(np.diag(sigma.entries)))
+    tol = _BLOCK_DIAG_TOL * float(np.max(np.diag(sigma)))
     if worst > tol:
         raise NotBlockDiagonal(
             f"off-block entry sigma[{r}, {c}] = {worst:.6e} exceeds tolerance {tol:.6e}"
         )
+    return exact.log_value

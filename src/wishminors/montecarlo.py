@@ -186,7 +186,7 @@ def estimate_embedded(
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _gram_logdet(rows: list[np.ndarray]) -> np.ndarray:
+def _gram_logdet(rows: list[np.ndarray] | np.ndarray) -> np.ndarray:
     """log det(R Rᵀ) per draw for the block R whose rows are ``rows``.
 
     The rows are batch-last, as ``_gram`` takes them.  Gaussian elimination

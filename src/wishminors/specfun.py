@@ -55,12 +55,12 @@ def _stirling_correction(z: float) -> float:
 
 
 def _lgamma_diff(x: float, s: float) -> float:
-    """lgamma(x + s) - lgamma(x) for x > 0 and s > 0, without cancellation.
+    """lgamma(x + s) - lgamma(x) for x > 0 and s >= 0, without cancellation.
 
     For x >= 12 the Stirling terms are differenced by hand:
     (x - 1/2) log1p(s/x) + s (log(x + s) - 1) + c(x + s) - c(x), where
     every part but the small c difference is positive.  Past double range
-    the result is inf.
+    the result is inf; at s = 0 both forms give exactly 0.0.
     """
     if x < _STIRLING_FROM:
         return _lgamma(x + s) - math.lgamma(x)
@@ -87,15 +87,13 @@ def log_multigamma(p: int, beta: float) -> float:
 def log_multigamma_ratio(p: int, beta: float, shift: float) -> float:
     """log of Gamma_p(beta + shift) / Gamma_p(beta), for a finite shift >= 0.
 
-    Exactly 0.0 when ``shift`` is zero.  The pi prefactors cancel, so the
-    result is a plain sum of ``lgamma(beta + shift - j/2) - lgamma(beta - j/2)``
-    terms, defined whenever ``beta > (p-1)/2``.  Each term keeps full
-    relative precision however large beta is; past double range it is inf.
+    The pi prefactors cancel, so the result is a plain sum of
+    ``lgamma(beta + shift - j/2) - lgamma(beta - j/2)`` terms, defined
+    whenever ``beta > (p-1)/2`` and each exactly 0.0 at a zero shift.  Each
+    keeps full relative precision at any beta; past double range it is inf.
     DomainError refuses what ``log_multigamma`` refuses, and a negative,
     NaN or infinite shift.
     """
     p, beta = _check_pole(p, beta)
     shift = check_real(shift, "shift", 0.0)
-    if shift == 0.0:
-        return 0.0
     return sum(_lgamma_diff(beta - 0.5 * j, shift) for j in range(p))

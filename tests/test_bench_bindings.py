@@ -42,11 +42,21 @@ def test_traced_ops_nest_under_one_cli_main(tmp_path, capsys):
     sigma = tmp_path / "sigma.csv"
     write_matrix_csv(np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.5]]), str(sigma))
     common = ["--alpha", "4.5", "--sigma", str(sigma), "--seed", "3", "--workers", "2"]
+    integer = ["--alpha", "2", *common[2:]]
+    search = ["--trials", "2", "--samples", "2000", "--seed", "3", "--workers", "2"]
+    # The shapes of the four benchmark workloads: both verify modes, both
+    # sample methods and a gpi search of each kind.
     ops = [
         ["verify", *common, "--partition", "2,1", "--nu", "1,0.5",
          "--mode", "disjoint", "--samples", "2000"],
         ["sample", *common, "--count", "200", "--method", "bartlett",
          "--out", str(tmp_path / "draws.csv")],
+        ["verify", *common, "--partition", "2,1", "--nu", "1,0.5",
+         "--mode", "embedded", "--samples", "2000"],
+        ["sample", *integer, "--count", "200", "--method", "gaussian-sum",
+         "--out", str(tmp_path / "gsum.csv")],
+        ["gpi", "--kind", "wishart", "--dims", "1:3", "--alpha-range", "1:6", *search],
+        ["gpi", "--kind", "gaussian", "--dims", "2", "--nu-grid", "1", *search],
     ]
     tracer = spans.Tracer()
     for op, argv in enumerate(ops):
@@ -65,8 +75,8 @@ def test_traced_ops_nest_under_one_cli_main(tmp_path, capsys):
     for line in path.read_text().splitlines():
         span = json.loads(line)
         by_op[span["op"]].append(span)
-    assert sorted(by_op) == [0, 1]
-    for op_spans in by_op.values():
+    assert sorted(by_op) == list(range(len(ops)))
+    for op, op_spans in by_op.items():
         (root,) = [s for s in op_spans if s["name"] == "cli.main"]
         problems, _ = spans._check_op(
             op_spans, spans.self_times(op_spans), root["end"] - root["start"]
@@ -74,3 +84,5 @@ def test_traced_ops_nest_under_one_cli_main(tmp_path, capsys):
         assert problems == []
         names = {s["name"] for s in op_spans}
         assert {"streams.substreams", "streams.map_ordered"} <= names
+        if ops[op][0] == "gpi":
+            assert "gpi.task" in names

@@ -587,6 +587,22 @@ class TestGpi:
                 "first_pass_z", "flags",
             ]
 
+    @pytest.mark.parametrize("nu_grid, unreliable", [("1", False), ("50", True)])
+    def test_summary_marks_unreliable_trials(self, tmp_path, capsys, nu_grid, unreliable):
+        # At nu = 50 and rho = 0.99 a few draws carry the whole mean: the
+        # summary row shows the flag that the trial line carries.
+        dest = tmp_path / "trials.jsonl"
+        code, _, err = run(
+            capsys, "gpi", "--kind", "gaussian", "--dims", "2", "--rho-grid", "0.99",
+            "--nu-grid", nu_grid, "--trials", "1", "--samples", "2000", "--seed", "1",
+            "--out", str(dest),
+        )
+        assert code == EXIT_OK
+        trial = json.loads(dest.read_text().splitlines()[1])
+        assert trial["flags"] == (["unreliable"] if unreliable else [])
+        row = err.splitlines()[2]
+        assert row.endswith(" consistent (unreliable)" if unreliable else " consistent")
+
     def test_negative_rho_grid_needs_equals_form(self, tmp_path, capsys):
         # A value that starts with "-" must be attached with "=", or the
         # parser reads it as a flag.
@@ -802,22 +818,33 @@ class TestOutOfRangeInputs:
         assert rec["exact_log"] == exact["log_value"]
         assert rec["verdict"] == "consistent"
 
+    @pytest.mark.parametrize("coupled", [False, True], ids=["diagonal", "coupled"])
+    @pytest.mark.parametrize(
+        "alpha, partition, nu, message",
+        [
+            # alpha = 2 on a 3x3 block: the block's minor is zero almost surely.
+            ("2", "3,1", "1,1", "supports only blocks of size <= alpha, got sizes (3, 1)"),
+            ("6", "2,1", "1,1", "partition covers 3 rows, matrix has 4"),
+            ("6", "2,2", "1", "1 exponents for 2 blocks"),
+        ],
+        ids=["singular-block", "not-covering", "exponent-count"],
+    )
     def test_disjoint_blockdiag_refuses_block_above_singular_alpha_like_verify(
-        self, tmp_path, capsys
+        self, tmp_path, capsys, coupled, alpha, partition, nu, message
     ):
-        # alpha = 2 on a 3x3 block: the block's minor is zero almost surely.
-        # The shape is refused first, also on a scale coupled across the blocks.
-        coupled = np.eye(4)
-        coupled[0, 3] = coupled[3, 0] = 0.5
-        for sigma in (np.eye(4), coupled):
-            path = sigma_file(tmp_path, sigma)
-            moment = ["--alpha", "2", "--sigma", path, "--partition", "3,1", "--nu", "1,1"]
-            exact = run(capsys, "exact", *moment, "--disjoint-blockdiag")
-            verify = run(capsys, "verify", *moment, "--mode", "disjoint", "--samples", "100")
-            for code, out, err in (exact, verify):
-                assert (code, out) == (EXIT_DOMAIN, "")
-                assert err.count("\n") == 1 and "supports only blocks of size <= alpha" in err
-            assert exact[2] == verify[2]
+        # Every admission refusal comes first, also on a scale coupled across
+        # the blocks, so exact and verify refuse with one line.
+        sigma = np.eye(4)
+        if coupled:
+            sigma[0, 3] = sigma[3, 0] = 0.5
+        path = sigma_file(tmp_path, sigma)
+        moment = ["--alpha", alpha, "--sigma", path, "--partition", partition, "--nu", nu]
+        exact = run(capsys, "exact", *moment, "--disjoint-blockdiag")
+        verify = run(capsys, "verify", *moment, "--mode", "disjoint", "--samples", "100")
+        for code, out, err in (exact, verify):
+            assert (code, out) == (EXIT_DOMAIN, "")
+            assert err.count("\n") == 1 and message in err
+        assert exact[2] == verify[2]
 
 
 class TestRerunByteIdentity:

@@ -32,7 +32,7 @@ from wishminors import (
 from wishminors.gpi import WishartGpiInstance
 from wishminors.montecarlo import _embedded_stat_factory, _gram_logdet, _verdict_for
 from wishminors.streams import chunk_sizes, substreams
-from wishminors.wishart import _gram
+from wishminors.wishart import _factor_rows, _gram
 from conftest import random_spd, reference_factor
 
 
@@ -467,16 +467,25 @@ class TestOneFactor:
     """The samplers and the disjoint statistic read one T from ``wishart._factor_rows``."""
 
     @pytest.mark.parametrize(
-        "alpha, sampler",
-        [(6.0, sample_bartlett), (2.0, sample_gaussian_sum)],
-        ids=["bartlett", "gaussian-sum"],
+        "alpha, sampler, sizes, n",
+        [
+            (6.0, sample_bartlett, (1, 2, 1), 1001),
+            (2.0, sample_gaussian_sum, (1, 2, 1), 1001),
+            (6.0, sample_bartlett, (1, 2, 1), 50),
+            (2.0, sample_gaussian_sum, (1, 2, 1), 50),
+            (2.0, sample_gaussian_sum, (1,), 1001),
+        ],
+        ids=["bartlett", "gaussian-sum", "bartlett-n50", "gaussian-sum-n50", "gaussian-sum-1x1"],
     )
-    def test_sampler_blocks_are_the_eliminated_grams(self, rng, monkeypatch, alpha, sampler):
+    def test_sampler_blocks_are_the_eliminated_grams(
+        self, rng, monkeypatch, alpha, sampler, sizes, n
+    ):
         # At alpha 2 the 4x4 shape is singular, so the statistic reads the
-        # Gaussian-sum T; at alpha 6 it reads the Bartlett T.
-        sizes, n, seed = (1, 2, 1), 1001, 29
+        # Gaussian-sum T; at alpha 6 it reads the Bartlett T.  At n = 50 every
+        # chunk holds one draw.  A 1x1 scale is never singular, so there the
+        # statistic is pointed at the Gaussian-sum T.
         params = params_of(alpha, random_spd(rng, sum(sizes), cond=20.0))
-        query = MomentQuery(partition=BlockPartition(sizes), nu=(1.0, 0.5, 1.5))
+        query = MomentQuery(partition=BlockPartition(sizes), nu=(1.0, 0.5, 1.5)[: len(sizes)])
         grams = []
 
         def recording_gram(rows):
@@ -485,10 +494,15 @@ class TestOneFactor:
             return g
 
         monkeypatch.setattr(wishminors.montecarlo, "_gram", recording_gram)
-        estimate_disjoint(params, query, n, seed)
-        draws = sampler(params, n, seed).draws
+        if sizes == (1,):
+            monkeypatch.setattr(
+                wishminors.montecarlo, "_factor_rows",
+                lambda one_by_one, _: _factor_rows(one_by_one, "gaussian-sum"),
+            )
+        estimate_disjoint(params, query, n, 29)
+        draws = sampler(params, n, 29).draws
         prefix = query.partition.prefix
-        assert len(grams) == len(sizes) * 64
+        assert len(grams) == len(sizes) * min(n, 64)
         for k, (a, b) in enumerate(zip(prefix, prefix[1:])):
             chunks = grams[k :: len(sizes)]  # chunks run in order
             for r in range(b - a):

@@ -61,6 +61,21 @@ class TestLogMultigammaRatio:
     def test_zero_shift_exact(self):
         assert log_multigamma_ratio(3, 2.5, 0.0) == 0.0
 
+    @pytest.mark.parametrize(
+        "p, beta",
+        [
+            (p, beta)
+            for p in (1, 3, 60)
+            for beta in (math.nextafter((p - 1) / 2, math.inf), 11.9, 12.0, 1e300)
+            if beta > (p - 1) / 2
+        ],
+    )
+    def test_zero_shift_exact_on_both_branches(self, p, beta):
+        # Terms below 12 take the plain lgamma difference, the rest the
+        # Stirling form; each gives exactly 0.0 at a zero shift, with no
+        # shortcut for it.
+        assert log_multigamma_ratio(p, beta, 0.0) == 0.0
+
     def test_univariate_half_integer(self):
         # Gamma(3.5)/Gamma(1.5) = 2.5 * 1.5
         assert log_multigamma_ratio(1, 1.5, 2.0) == pytest.approx(
