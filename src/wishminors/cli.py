@@ -177,48 +177,9 @@ def _record(args, **fields) -> dict:
     }
 
 
-def _emit(record: dict, fmt: str, out: str | None) -> None:
-    if fmt == "json":
-        text = json.dumps(record, indent=2, allow_nan=False) + "\n"
-    elif fmt == "csv":
-        text = "key,value\n" + "".join(
-            f"{_csv_field(k)},{_csv_field(v)}\n" for k, v in _flatten(record)
-        )
-    else:
-        rows = _flatten(record)
-        width = max(len(k) for k, _ in rows)
-        text = "".join(f"{k.ljust(width)}  {v}\n" for k, v in rows)
-    _write_lines([text], out)
-
-
-def _csv_field(text: str) -> str:
-    """``text`` as one RFC 4180 field, quoted only if it holds a comma, quote or line break."""
-    if any(c in text for c in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
-def _flatten(record: dict, prefix: str = "") -> list[tuple[str, str]]:
-    rows: list[tuple[str, str]] = []
-    for key, value in record.items():
-        name = f"{prefix}{key}"
-        if isinstance(value, dict):
-            rows.extend(_flatten(value, prefix=f"{name}."))
-        elif isinstance(value, (list, tuple)):
-            if all(isinstance(v, dict) for v in value) and value:
-                for i, v in enumerate(value):
-                    rows.extend(_flatten(v, prefix=f"{name}.{i}."))
-            else:
-                rows.append((name, " ".join(_scalar_str(v) for v in value)))
-        else:
-            rows.append((name, _scalar_str(value)))
-    return rows
-
-
-def _scalar_str(value) -> str:
-    if isinstance(value, float):
-        return fmt_float(value)
-    return str(value)
+def _emit(record: dict, out: str | None) -> None:
+    """The run record as strict, indented JSON to ``out``, or to stdout when ``out`` is None."""
+    _write_lines([json.dumps(record, indent=2, allow_nan=False) + "\n"], out)
 
 
 def _moment_inputs(args):
@@ -244,7 +205,7 @@ def cmd_exact(args) -> int:
             for f in exact.factors
         ],
     )
-    _emit(record, args.format, args.out)
+    _emit(record, args.out)
     return EXIT_OK
 
 
@@ -281,7 +242,7 @@ def cmd_verify(args) -> int:
     )
     if note is not None:
         record["note"] = note
-    _emit(record, args.format, args.out)
+    _emit(record, args.out)
     if verdict == Verdict.INCONSISTENT.value:
         return EXIT_INCONSISTENT
     return EXIT_OK
@@ -295,7 +256,6 @@ def cmd_sample(args) -> int:
     # Every refusal comes before --out is opened, so a refused run leaves it untouched.
     draw = chunk_sampler(params, args.method)
     count = check_int(args.count, "draw count", 0)
-    check_seed(args.seed)
     up_r, up_c = np.triu_indices(params.dim)
     tails = [f",{r},{c}," for r, c in zip(up_r.tolist(), up_c.tolist())]
 
@@ -315,7 +275,7 @@ def cmd_sample(args) -> int:
         rows = sum(map_chunks(write_chunk, count, args.seed))
     # The draws file is plain CSV; the self-describing run record goes to
     # stdout so metadata always accompanies the artifact.
-    _emit(_record(args, rows_written=rows), args.format, None)
+    _emit(_record(args, rows_written=rows), None)
     return EXIT_OK
 
 
@@ -369,10 +329,6 @@ def build_parser() -> _Parser:
             help="accepted for compatibility and checked (>= 1); it changes nothing, "
             "since every subcommand runs on one thread (default 1)",
         ),
-        "--format": dict(
-            choices=("json", "csv", "table"), default="json",
-            help="output format for the result record",
-        ),
         "--out": dict(default=None, help="output path (default stdout)"),
         "--alpha": dict(type=float, required=True, help="shape parameter"),
         "--sigma": dict(required=True, help="scale matrix CSV path"),
@@ -385,7 +341,7 @@ def build_parser() -> _Parser:
             help="comma-separated exponents, one per block",
         ),
     }
-    run = ("--seed", "--workers", "--format", "--out")
+    run = ("--seed", "--workers", "--out")
     moment = ("--alpha", "--sigma", "--partition", "--nu")
     subcommands = (
         ("exact", cmd_exact, "exact joint minor moments", (
@@ -451,6 +407,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         check_int(args.workers, "workers", 1)  # every subcommand takes --workers
+        check_seed(args.seed)  # and --seed
         return args.func(args)
     except InputError as exc:
         sys.stderr.write(f"wishminors: {exc}\n")

@@ -1,5 +1,3 @@
-import csv
-import io
 import json
 import math
 import os
@@ -169,18 +167,6 @@ class TestExact:
         assert info.value.code == EXIT_PARSE
         capsys.readouterr()
 
-    def test_csv_and_table_formats(self, tmp_path, capsys):
-        path = sigma_file(tmp_path, [[1.0]])
-        base = ["exact", "--alpha", "2", "--sigma", path,
-                "--partition", "1", "--nu", "1"]
-        code, out, _ = run(capsys, *base, "--format", "csv")
-        assert code == EXIT_OK
-        assert out.startswith("key,value\n")
-        assert "factors.0.gamma_term," in out
-        code, out, _ = run(capsys, *base, "--format", "table")
-        assert code == EXIT_OK
-        assert "log_value" in out and "," not in out.splitlines()[0].split()[0]
-
     def test_out_file(self, tmp_path, capsys):
         path = sigma_file(tmp_path, [[1.0]])
         dest = tmp_path / "rec.json"
@@ -251,20 +237,6 @@ class TestVerify:
         )
         assert code == EXIT_DOMAIN and out == ""
         assert err == "wishminors: sample count must be an integer >= 2, got 1\n"
-
-    def test_csv_record_quotes_a_note_with_commas(self, tmp_path, capsys):
-        path = sigma_file(tmp_path, [[1.0, 0.3], [0.3, 1.0]])
-        argv = ("verify", "--alpha", "3", "--sigma", path, "--partition", "1,1",
-                "--nu", "1,1", "--mode", "disjoint", "--samples", "1000")
-        _, out, _ = run(capsys, *argv)
-        note = json.loads(out)["note"]
-        assert "," in note
-        code, out, _ = run(capsys, *argv, "--format", "csv")
-        assert code == EXIT_OK
-        rows = list(csv.reader(io.StringIO(out)))
-        assert rows[0] == ["key", "value"]
-        assert all(len(row) == 2 for row in rows)
-        assert dict(rows)["note"] == note
 
     @pytest.mark.parametrize("nu", ["0,1", "0.5,0.5", "1,0.25"])
     def test_embedded_boundary_record_is_strict_json(self, tmp_path, capsys, nu):
@@ -655,12 +627,12 @@ class TestGpi:
         assert info.value.code == EXIT_PARSE
         assert "--dims" in capsys.readouterr().err
 
-
-    def test_format_flag_exits_parse(self, capsys):
-        # gpi always writes JSON lines, so it takes no --format.
+    @pytest.mark.parametrize("argv", SUBCOMMAND_RUNS.values(), ids=SUBCOMMAND_RUNS)
+    def test_format_flag_exits_parse(self, capsys, argv):
+        # Every subcommand writes only its JSON record, so none takes --format.
+        sigma = [] if argv[0] == "gpi" else ["--sigma", "sigma.csv"]
         with pytest.raises(SystemExit) as info:
-            main(["gpi", "--kind", "gaussian", "--dims", "2", "--trials", "1",
-                  "--samples", "100", "--format", "csv"])
+            main([*argv, *sigma, "--format", "csv"])
         assert info.value.code == EXIT_PARSE
         assert "--format" in capsys.readouterr().err
 
@@ -672,7 +644,7 @@ class TestRecordConfig:
             (["exact", "--alpha", "3", "--partition", "1,1", "--nu", "1,0.5"],
              {"partition": [1, 1], "nu": [1.0, 0.5], "disjoint_blockdiag": False}),
             (["verify", "--alpha", "3", "--partition", "2", "--nu", "1",
-              "--mode", "embedded", "--samples", "200", "--format", "json"],
+              "--mode", "embedded", "--samples", "200"],
              {"partition": [2], "nu": [1.0], "samples": 200, "mode": "embedded"}),
             (["sample", "--alpha", "3", "--count", "2", "--method", "bartlett"],
              {"count": 2, "method": "bartlett"}),
@@ -763,6 +735,17 @@ class TestOutOfRangeInputs:
         code, out, err = run(capsys, *argv, "--out", str(dest), "--workers", workers)
         assert code == EXIT_DOMAIN and out == ""
         assert err == f"wishminors: workers must be an integer >= 1, got {workers}\n"
+        assert not dest.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize("argv", SUBCOMMAND_RUNS.values(), ids=SUBCOMMAND_RUNS)
+    def test_seed_out_of_range_exits_domain(self, tmp_path, capsys, argv, seed):
+        if argv[0] != "gpi":
+            argv = [*argv, "--sigma", sigma_file(tmp_path, np.eye(3))]
+        dest = tmp_path / "out.txt"
+        code, out, err = run(capsys, *argv, "--seed", seed, "--out", str(dest))
+        assert code == EXIT_DOMAIN and out == ""
+        assert err == f"wishminors: seed must be an integer in [0, {2**64}), got {seed}\n"
         assert not dest.exists()
 
     @pytest.mark.parametrize(

@@ -172,6 +172,39 @@ class TestEstimateEmbedded:
             est = estimate_embedded(pr, q, 100_000, seed=seed)
             assert abs(compare(exact, est).z) <= 4.0
 
+    @pytest.mark.parametrize(
+        "sizes, alpha, nu",
+        [
+            ((2, 1, 3), 7.0, (0.5, 0.25, 0.5)),
+            ((1, 1, 1, 1), 4.0, (0.5, 0.25, 0.5, 0.25)),
+            ((3, 3), 6.0, (0.5, 0.5)),
+        ],
+        ids=["2,1,3", "1,1,1,1", "3,3"],
+    )
+    def test_nested_formula_without_bartlett(self, rng, sizes, alpha, nu):
+        # Wilks' nested-minor formula checked on Gaussian-sum draws, with no
+        # Bartlett chi-square: each leading minor det X[:P_i, :P_i] is the
+        # product of its Gram's elimination pivots, the iterated Schur
+        # complements of the paper's proof.
+        params = params_of(alpha, random_spd(rng, sum(sizes), cond=30.0))
+        query = MomentQuery(partition=BlockPartition(sizes), nu=nu)
+        chunk_rows = _factor_rows(params, "gaussian-sum")
+        prefix = query.partition.prefix[1:]
+
+        def stat(gen, m):
+            rows = chunk_rows(gen, m)
+            return sum(v * _gram_logdet(rows(0, b)) for v, b in zip(nu, prefix))
+
+        def exact(exponents):
+            return embedded_moment_log(params, dataclasses.replace(query, nu=exponents)).log_value
+
+        n = 50_000
+        m1 = exact(nu)
+        r = math.sqrt(math.expm1(exact(tuple(2.0 * v for v in nu)) - 2.0 * m1) / n)
+        assert r <= 0.02
+        for seed in range(5):
+            assert abs(compare(m1, estimate_log_statistic(stat, n, seed)).z) <= 4.0
+
     @pytest.mark.parametrize("alpha", [3.5, 9.0])
     def test_draws_only_chi_squares_and_boost_uniforms(self, alpha):
         # dofs 3.5, 2.5, 1.5, 0.5 boost two columns; dofs 9 ... 6 boost none.
