@@ -103,7 +103,7 @@ def _bartlett_dofs(alpha: float, p: int) -> np.ndarray:
     return alpha - np.arange(p)
 
 
-def _bartlett_variates(rng: np.random.Generator, dofs: np.ndarray, m: int):
+def _bartlett_variates(rng: np.random.Generator, dofs: np.ndarray, m: int, out=None):
     """``(chisq, normals)`` of m Bartlett triangles A, drawn in this order.
 
     ``chisq[:, j] = A[j, j]**2 ~ chi2(dofs[j])``; ``normals`` holds the
@@ -111,10 +111,12 @@ def _bartlett_variates(rng: np.random.Generator, dofs: np.ndarray, m: int):
     at columns ``l(l-1)/2 ... l(l-1)/2 + l - 1``.  The embedded statistic
     shares only the chi-square prefix, and only when every dof is >= 2.
     At p = 1 the scalar dof gives the same draws as a 1-array, sooner.
+    ``normals`` is ``out`` when given: ``_factor_rows``' builder passes the
+    C-contiguous (m, p(p-1)/2) array it reuses for every chunk, same draws.
     """
     p = len(dofs)
     chisq = rng.chisquare(float(dofs[0]) if p == 1 else dofs, size=(m, p))
-    normals = rng.standard_normal((m, p * (p - 1) // 2))
+    normals = rng.standard_normal((m, p * (p - 1) // 2), out=out)
     return chisq, normals
 
 
@@ -129,6 +131,10 @@ def _factor_rows(params: WishartParams, method: str):
     for the nonsingular regime.  Row i is ``T_ij = L_ij d_j + sum_{l=j+1..i}
     L_il z_lj``, with d_j^2 the j-th chi-square and z_lj the normal at (l, j)
     of A; it keeps its c_i = i + 1 leading entries, T being lower triangular.
+    The builder owns one normals array and its batch-last copy, sized by the
+    first (largest) chunk and reused by every chunk, so no chunk faults in
+    fresh pages for them.  A chunk's ``rows`` reads them, so it is valid until
+    the next ``chunk_rows`` call; the rows it returns are fresh, the caller's.
 
     ``gaussian-sum``: T = L G^T with G an alpha x p standard normal matrix
     (c_i = alpha), so T T^T sums alpha outer products of N(0, sigma)
@@ -140,11 +146,17 @@ def _factor_rows(params: WishartParams, method: str):
     if method == "bartlett":
         params.require_nonsingular("the triangular sampler")
         dofs = _bartlett_dofs(params.alpha, p)
+        k = p * (p - 1) // 2
+        normals_buf = z_buf = np.empty(0)
 
         def chunk_rows(rng: np.random.Generator, m: int):
-            chisq, normals = _bartlett_variates(rng, dofs, m)
+            nonlocal normals_buf, z_buf
+            if normals_buf.size < m * k:
+                normals_buf, z_buf = np.empty(m * k), np.empty(m * k)
+            chisq, normals = _bartlett_variates(rng, dofs, m, normals_buf[: m * k].reshape(m, k))
             d = np.sqrt(chisq.T, order="C")
-            z = np.ascontiguousarray(normals.T)
+            z = z_buf[: m * k].reshape(k, m)
+            z[...] = normals.T
 
             def rows(a: int, b: int) -> list[np.ndarray]:
                 block = []

@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -294,6 +297,38 @@ class TestEstimateDisjoint:
         b = estimate_disjoint(pr, q_merged, 50_000, seed=37)
         assert a.mean_log == pytest.approx(b.mean_log, rel=1e-10)
         assert a.stderr_log == pytest.approx(b.stderr_log, rel=1e-10)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux minor-fault counts")
+    def test_repeat_estimate_maps_no_fresh_pages(self):
+        # At p = 12 a 50k-draw estimate's chunks hold 782 draws, whose
+        # Bartlett normals (about 400 KB) glibc hands back to the kernel when
+        # they are freed.  Fresh arrays per chunk fault their pages in again
+        # on every chunk (about 12k faults per estimate); reused ones do not
+        # (about 200).  Smaller chunks stay with the allocator and fault
+        # little either way, so the test needs this many draws.
+        src = os.path.dirname(os.path.dirname(wishminors.montecarlo.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", _FAULTS_SCRIPT], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 2_000
+
+
+# Runs in a fresh interpreter: the minor page faults of a second 50k-draw
+# disjoint estimate on a block-diagonal 12x12 scale, after a warm-up one.
+_FAULTS_SCRIPT = """
+import resource
+import numpy as np
+from wishminors import BlockPartition, MomentQuery, SpdMatrix, WishartParams, estimate_disjoint
+sigma = np.kron(np.eye(3), np.full((4, 4), 0.5) + 0.5 * np.eye(4))
+params = WishartParams(alpha=14.5, sigma=SpdMatrix.from_array(sigma))
+query = MomentQuery(BlockPartition((4, 4, 4)), (0.5, 1.0, 0.75))
+estimate_disjoint(params, query, 50_000, 1)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+estimate_disjoint(params, query, 50_000, 2)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
 
 
 def batch_last(rows):

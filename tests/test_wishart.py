@@ -14,7 +14,7 @@ from wishminors import (
     sample_gaussian_sum,
 )
 from wishminors.streams import chunk_sizes, substreams
-from wishminors.wishart import _factor_rows
+from wishminors.wishart import _bartlett_dofs, _bartlett_variates, _factor_rows
 from conftest import random_spd, reference_factor
 
 
@@ -190,25 +190,43 @@ class TestBatchLayout:
         assert peak <= 1.25 * held
 
 
+def recurrence_rows(chol, chisq, normals):
+    """T's batch-last rows by the package's row recurrence, from fresh variates."""
+    d, z = np.sqrt(chisq.T), normals.T
+    rows = []
+    for i in range(len(d)):
+        t = chol[i, : i + 1, None] * d[: i + 1]
+        for l in range(1, i + 1):
+            t[:l] += chol[i, l] * z[l * (l - 1) // 2 :][:l]
+        rows.append(t)
+    return rows
+
+
 class TestBartlettFactor:
     def test_each_chunk_gets_fresh_factors(self, rng):
         # Chunks of different sizes on one thread: each chunk's rows match
         # the dense L A of its own variates, row i keeps its i + 1 leading
         # entries, and no later chunk writes into an earlier one's rows.
+        # The builder reuses its normals arrays, sliced for the 4-draw chunks
+        # and grown for the 12-draw one; the rows must still equal, bit for
+        # bit, the recurrence on freshly drawn variates.
         pr = params_of(7.5, random_spd(rng, 5, cond=10.0))
-        p = pr.dim
+        p, chol = pr.dim, pr.sigma.chol
+        dofs = _bartlett_dofs(pr.alpha, p)
         chunk_rows = _factor_rows(pr, "bartlett")
         reference = reference_factor(pr, "bartlett")
-        gen, ref = np.random.default_rng(17), np.random.default_rng(17)
+        gen, ref, twin = (np.random.default_rng(17) for _ in range(3))
         returned = []
         for m in (9, 4, 12, 4):
             rows = chunk_rows(gen, m)(0, p)
             t = reference(ref, m)
+            fresh = recurrence_rows(chol, *_bartlett_variates(twin, dofs, m))
             assert repr(gen.bit_generator.state) == repr(ref.bit_generator.state)
             assert np.all(np.triu(t, k=1) == 0.0)
             for i, row in enumerate(rows):
                 assert row.shape == (i + 1, m)
                 np.testing.assert_allclose(row, t[:, i, : i + 1].T, rtol=1e-13, atol=1e-13)
+                assert np.array_equal(row, fresh[i])
             returned.append([(row, row.copy()) for row in rows])
         for chunk in returned:
             for row, kept in chunk:
