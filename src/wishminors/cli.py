@@ -31,8 +31,8 @@ from .gpi import DEFAULT_NU_GRID, SearchConfig, search
 from .linalg import BlockPartition, SpdMatrix
 from .moments import (
     MomentQuery,
-    block_moments_log,
     disjoint_moment_block_diag_log,
+    disjoint_moment_log,
     embedded_moment_log,
 )
 from .montecarlo import (
@@ -190,12 +190,8 @@ def _moment_inputs(args):
 
 def cmd_exact(args) -> int:
     params, query = _moment_inputs(args)
-    if args.disjoint_blockdiag:
-        # Refuse through the call verify makes, then take the factors.
-        disjoint_moment_block_diag_log(params, query)
-        exact = block_moments_log(params, query)
-    else:
-        exact = embedded_moment_log(params, query)
+    moment = disjoint_moment_log if args.disjoint_blockdiag else embedded_moment_log
+    exact = moment(params, query)
     record = _record(
         args,
         log_value=exact.log_value,
@@ -210,21 +206,23 @@ def cmd_exact(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # Both modes take the exact value first: a refused moment names its cause before any draw.
     params, query = _moment_inputs(args)
+    embedded = args.mode == "embedded"
     note = None
-    if args.mode == "embedded":
-        exact_log = embedded_moment_log(params, query).log_value
-        mc = estimate_embedded(params, query, args.samples, args.seed)
-    else:
-        mc = estimate_disjoint(params, query, args.samples, args.seed)
-        try:
+    try:
+        if embedded:
+            exact_log = embedded_moment_log(params, query).log_value
+        else:
             exact_log = disjoint_moment_block_diag_log(params, query)
-        except NotBlockDiagonal as exc:
-            exact_log = None
-            note = (
-                "no exact value: scale is not block diagonal along the partition "
-                f"({exc}); reporting Monte Carlo only"
-            )
+    except NotBlockDiagonal as exc:
+        exact_log = None
+        note = (
+            "no exact value: scale is not block diagonal along the partition "
+            f"({exc}); reporting Monte Carlo only"
+        )
+    estimate = estimate_embedded if embedded else estimate_disjoint
+    mc = estimate(params, query, args.samples, args.seed)
     z = verdict = None
     if exact_log is not None:
         report = compare(exact_log, mc)

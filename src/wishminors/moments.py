@@ -12,8 +12,10 @@ where V_i = nu_i + ... + nu_d is the suffix sum of the exponents.  Every
 computation here stays in log space.
 
 Joint moments of *disjoint* diagonal-block minors have no closed form in
-general; they are exact only when the scale is block diagonal, in which
-case the blocks are independent Wisharts with the full shape alpha.
+general.  ``disjoint_moment_log`` is the one function that gives a
+disjoint query its exact value, for ``exact`` and ``verify`` alike; today
+that value exists only when the scale is block diagonal, in which case
+the blocks are independent Wisharts with the full shape alpha.
 """
 from __future__ import annotations
 
@@ -36,6 +38,7 @@ __all__ = [
     "single_minor_moment_log",
     "embedded_moment_log",
     "block_moments_log",
+    "disjoint_moment_log",
     "disjoint_moment_block_diag_log",
 ]
 
@@ -173,15 +176,17 @@ def block_moments_log(params: WishartParams, query: MomentQuery) -> ExactMoment:
     return _sum_factors(factors)
 
 
-def disjoint_moment_block_diag_log(params: WishartParams, query: MomentQuery) -> float:
-    """Exact joint moment of disjoint diagonal-block minors, block-diagonal scale only.
+def disjoint_moment_log(params: WishartParams, query: MomentQuery) -> ExactMoment:
+    """Exact joint moment of disjoint diagonal-block minors, in log space.
 
-    When sigma is block diagonal along the partition the diagonal blocks
-    of X are independent Wishart(alpha, sigma_ii) matrices, so the joint
-    moment is ``block_moments_log``, each block with the *full* shape
-    alpha.  A scale with off-block coupling makes this an open problem,
-    and the function refuses rather than approximate; the shape is
-    admitted first, so a refusal of it reads as it does for the estimate.
+    The one place that decides which exact value a disjoint query gets;
+    later exact disjoint values go in this body.  Today that is the
+    block-diagonal scale only: the diagonal blocks of X are then
+    independent Wishart(alpha, sigma_ii) matrices, so the joint moment is
+    ``block_moments_log``, each block with the *full* shape alpha.  A scale
+    with off-block coupling makes this an open problem, and the function
+    refuses rather than approximate; the shape is admitted first, so a
+    refusal of it reads as it does for the estimate.
 
     Raises
     ------
@@ -201,4 +206,9 @@ def disjoint_moment_block_diag_log(params: WishartParams, query: MomentQuery) ->
         raise NotBlockDiagonal(
             f"off-block entry sigma[{r}, {c}] = {worst:.6e} exceeds tolerance {tol:.6e}"
         )
-    return exact.log_value
+    return exact
+
+
+def disjoint_moment_block_diag_log(params: WishartParams, query: MomentQuery) -> float:
+    """``disjoint_moment_log(params, query).log_value``."""
+    return disjoint_moment_log(params, query).log_value

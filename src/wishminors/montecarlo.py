@@ -130,7 +130,9 @@ def estimate_log_statistic(stat_fn, n: int, seed: int) -> McEstimate:
         log_mean = top + math.log(float(np.exp(s - top).sum())) - math.log(m)
         return log_mean, m, top
 
-    log_means, sizes, tops = zip(*map_chunks(run, n, seed))
+    # A draw past double range is refused below or weighs 0: numpy need not warn too.
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_means, sizes, tops = zip(*map_chunks(run, n, seed))
     chunk_log_means = np.array(log_means)
     n_chunks = len(sizes)
     max_log = max(tops)

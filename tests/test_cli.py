@@ -694,6 +694,12 @@ class TestOutOfRangeInputs:
                           "--method", "bartlett"], id="sample-alpha-inf"),
             pytest.param(["verify", "--alpha", "inf", "--partition", "1,1", "--nu", "1,1",
                           "--mode", "embedded", "--samples", "100"], id="verify-alpha-inf"),
+            pytest.param(["verify", "--alpha", "3", "--partition", "1,1", "--nu", "1e308,1e308",
+                          "--mode", "disjoint", "--samples", "100"],
+                         id="verify-disjoint-nu-1e308"),
+            pytest.param(["verify", "--alpha", "inf", "--partition", "1,1", "--nu", "1,1",
+                          "--mode", "disjoint", "--samples", "100"],
+                         id="verify-disjoint-alpha-inf"),
             pytest.param(["gpi", "--kind", "gaussian", "--dims", "2", "--trials", "1",
                           "--samples", "100", "--seed", "-1"], id="gpi-seed-negative"),
             pytest.param(["gpi", "--kind", "gaussian", "--dims", "2", "--trials", "1",
@@ -715,6 +721,8 @@ class TestOutOfRangeInputs:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("wishminors:"), proc.stderr
         assert "Traceback" not in proc.stderr
+        if argv[0] == "verify" and "1e308,1e308" in argv:  # the exact value's cause
+            assert "overflows double range" in lines[0]
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
     @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ from wishminors import (
     WishartParams,
     block_moments_log,
     disjoint_moment_block_diag_log,
+    disjoint_moment_log,
     embedded_moment_log,
     single_minor_moment_log,
 )
@@ -153,48 +154,53 @@ class TestEmbeddedMoment:
             embedded_moment_log(params(4.0, spd(np.eye(3))), q)
 
 
+@pytest.mark.parametrize(
+    "disjoint",
+    [lambda p, q: disjoint_moment_log(p, q).log_value, disjoint_moment_block_diag_log],
+    ids=["oracle", "log-value"],
+)
 class TestDisjointBlockDiag:
-    def test_independent_chi_squares(self):
+    def test_independent_chi_squares(self, disjoint):
         q = MomentQuery(partition=BlockPartition((1, 1)), nu=(1.0, 1.0))
-        got = disjoint_moment_block_diag_log(params(2.0, spd(np.eye(2))), q)
+        got = disjoint(params(2.0, spd(np.eye(2))), q)
         assert math.exp(got) == pytest.approx(4.0, rel=1e-12)
 
-    def test_scaled_diagonal(self):
+    def test_scaled_diagonal(self, disjoint):
         q = MomentQuery(partition=BlockPartition((1, 1)), nu=(1.0, 1.0))
-        got = disjoint_moment_block_diag_log(params(3.0, spd(np.diag([2.0, 3.0]))), q)
+        got = disjoint(params(3.0, spd(np.diag([2.0, 3.0]))), q)
         assert math.exp(got) == pytest.approx(54.0, rel=1e-12)
 
-    def test_equals_sum_of_single_minors(self, rng):
+    def test_equals_sum_of_single_minors(self, rng, disjoint):
         blocks = [random_spd(rng, 2, cond=20.0), random_spd(rng, 3, cond=20.0)]
         sigma = np.zeros((5, 5))
         sigma[:2, :2] = blocks[0]
         sigma[2:, 2:] = blocks[1]
         q = MomentQuery(partition=BlockPartition((2, 3)), nu=(1.5, 0.5))
-        got = disjoint_moment_block_diag_log(params(6.0, spd(sigma)), q)
+        got = disjoint(params(6.0, spd(sigma)), q)
         want = single_minor_moment_log(params(6.0, spd(blocks[0])), 1.5) + (
             single_minor_moment_log(params(6.0, spd(blocks[1])), 0.5)
         )
         assert got == pytest.approx(want, abs=1e-11)
 
-    def test_off_block_coupling_refused(self):
+    def test_off_block_coupling_refused(self, disjoint):
         sigma = spd([[1.0, 0.5], [0.5, 1.0]])
         q = MomentQuery(partition=BlockPartition((1, 1)), nu=(1.0, 1.0))
         with pytest.raises(NotBlockDiagonal) as err:
-            disjoint_moment_block_diag_log(params(2.0, sigma), q)
+            disjoint(params(2.0, sigma), q)
         assert "0, 1" in str(err.value) or "1, 0" in str(err.value)
 
-    def test_tolerance_scales_with_diagonal(self):
+    def test_tolerance_scales_with_diagonal(self, disjoint):
         # coupling at 1e-13 of the largest diagonal entry passes
         sigma = np.diag([1e4, 1e4])
         sigma[0, 1] = sigma[1, 0] = 1e-9
         q = MomentQuery(partition=BlockPartition((1, 1)), nu=(1.0, 1.0))
-        got = disjoint_moment_block_diag_log(params(2.0, spd(sigma)), q)
+        got = disjoint(params(2.0, spd(sigma)), q)
         assert math.exp(got) == pytest.approx(4.0 * 1e8, rel=1e-9)
 
-    def test_singular_alpha_unit_blocks(self):
+    def test_singular_alpha_unit_blocks(self, disjoint):
         # alpha = 1 on unit blocks: independent chi2(1) entries, each of mean 1.
         q = MomentQuery(partition=BlockPartition((1, 1)), nu=(1.0, 1.0))
-        got = disjoint_moment_block_diag_log(params(1.0, spd(np.eye(2))), q)
+        got = disjoint(params(1.0, spd(np.eye(2))), q)
         assert math.exp(got) == pytest.approx(1.0, rel=1e-12)
 
 
@@ -217,3 +223,25 @@ class TestBlockMoments:
             block_moments_log(params(1.0, spd(sigma)), q)
         with pytest.raises(DimensionMismatch):
             block_moments_log(params(5.5, spd(sigma[:3, :3])), q)
+
+
+class TestDisjointOracle:
+    def test_factors_are_the_block_product(self, rng):
+        sigma = np.zeros((4, 4))
+        sigma[:1, :1] = 2.0
+        sigma[1:3, 1:3] = random_spd(rng, 2, cond=20.0)
+        sigma[3:, 3:] = 0.5
+        q = MomentQuery(partition=BlockPartition((1, 2, 1)), nu=(1.5, 0.5, 2.0))
+        got = disjoint_moment_log(params(5.5, spd(sigma)), q)
+        want = block_moments_log(params(5.5, spd(sigma)), q)
+        assert got.factors == want.factors  # MomentFactor equality is field for field
+        assert got.log_value == want.log_value
+
+    def test_coupled_scale_refused_alike(self, rng):
+        p = params(5.5, spd(random_spd(rng, 3, cond=20.0)))
+        q = MomentQuery(partition=BlockPartition((1, 2)), nu=(1.5, 0.5))
+        with pytest.raises(NotBlockDiagonal) as oracle:
+            disjoint_moment_log(p, q)
+        with pytest.raises(NotBlockDiagonal) as log_value:
+            disjoint_moment_block_diag_log(p, q)
+        assert str(oracle.value) == str(log_value.value)

@@ -21,6 +21,7 @@ from wishminors import (
     SpdMatrix,
     Verdict,
     WishartParams,
+    WishminorsError,
     block_moments_log,
     compare,
     disjoint_moment_block_diag_log,
@@ -115,6 +116,22 @@ class TestEngine:
 
         with pytest.raises(DegenerateEstimate, match="non-finite"):
             estimate_log_statistic(stat, 1_000, seed=1)
+
+    @pytest.mark.parametrize(
+        "estimate, nu",
+        [(estimate_embedded, 1e307), (estimate_disjoint, 1e308)],
+        ids=["embedded-nu-1e307", "disjoint-nu-1e308"],
+    )
+    def test_overflowing_draws_warn_nothing(self, estimate, nu):
+        # A draw past double range gives a typed result, never a numpy warning too.
+        q = MomentQuery(partition=BlockPartition((1, 1)), nu=(nu, nu))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                got = estimate(params_of(3.0, np.diag([1.0, 2.0])), q, 100, seed=0)
+            except WishminorsError:
+                return
+        assert isinstance(got, McEstimate)
 
     def test_bad_inputs(self):
         with pytest.raises(DomainError):
