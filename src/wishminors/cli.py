@@ -3,9 +3,9 @@
 Subcommands: exact, verify, sample, gpi.  Every artifact embeds the tool
 version, the fully resolved configuration and the seed, so any output
 can be regenerated from itself.  ``--workers`` is left out: every
-subcommand runs on one thread, and the flag is only checked.  Exit codes:
-0 ok/consistent, 1 I/O or parse failure, 2 domain error, 3 verification
-inconsistency.
+subcommand runs on one thread, and the flag is only checked.  stderr
+carries only refusals.  Exit codes: 0 ok/consistent, 1 I/O or parse
+failure, 2 domain error, 3 verification inconsistency.
 """
 from __future__ import annotations
 
@@ -247,8 +247,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    if args.out is None:
-        raise InputError("sample requires --out <path> for the draws CSV")
     sigma = load_sigma(args.sigma)
     params = WishartParams(alpha=args.alpha, sigma=sigma)
     # Every refusal comes before --out is opened, so a refused run leaves it untouched.
@@ -282,35 +280,14 @@ def cmd_gpi(args) -> int:
     fields = dataclasses.fields(SearchConfig)
     config = SearchConfig(**{f.name: getattr(args, f.name) for f in fields})
     report = search(config)
+    trials = [rec.to_record() for rec in report.trials]
+    verdicts = {v.value: sum(t["verdict"] == v.value for t in trials) for v in Verdict}
     # The header echoes the resolved fields: a gaussian search runs at alpha range (1, 1).
-    header = _record(args)
+    header = _record(args, verdicts=verdicts)
     header["config"].update((f.name, getattr(config, f.name)) for f in fields)
-    records = [header, *(rec.to_record() for rec in report.trials)]
+    records = [header, *trials]
     _write_lines([json.dumps(r, allow_nan=False) + "\n" for r in records], args.out)
-    _print_gpi_summary(report)
     return EXIT_OK
-
-
-def _print_gpi_summary(report) -> None:
-    counts = {v.value: 0 for v in Verdict}
-    for rec in report.trials:
-        counts[rec.result.verdict.value] += 1
-    out = sys.stderr
-    out.write(
-        f"gpi search: {len(report.trials)} trials | "
-        + " ".join(f"{k}={v}" for k, v in counts.items())
-        + "\n"
-    )
-    out.write(f"{'trial':>5} {'kind':>8} {'dim':>3} {'ratio':>12} {'z':>9} verdict\n")
-    for rec in report.trials[:10]:
-        res = rec.result
-        out.write(
-            f"{rec.index:>5} {rec.kind:>8} {res.instance.params.dim:>3} "
-            f"{res.ratio:>12.6g} {res.violation_z:>9.3f} {res.verdict.value}"
-            + (" (escalated)" if res.escalated else "")
-            + (" (unreliable)" if res.numerator.unreliable else "")
-            + "\n"
-        )
 
 
 def build_parser() -> _Parser:
@@ -361,7 +338,8 @@ def build_parser() -> _Parser:
             "--alpha", "--sigma",
             ("--count", dict(type=int, required=True, help="number of draws")),
             ("--method", dict(choices=("bartlett", "gaussian-sum"), required=True)),
-            *run,
+            "--seed", "--workers",
+            ("--out", dict(required=True, help="draws CSV path")),
         )),
         ("gpi", cmd_gpi, "product-inequality ratio search", (
             ("--kind", dict(choices=("wishart", "gaussian"), required=True)),
