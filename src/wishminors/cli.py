@@ -44,7 +44,8 @@ from .montecarlo import (
 )
 from .specfun import log_multigamma_ratio  # noqa: F401 - bench/spans.py wraps it
 from .streams import check_seed
-from .wishart import WishartParams, chunk_sampler, map_chunks
+from .wishart import _CHUNKS, WishartParams, _factor_rows, _factor_values, _gram, check_draws
+from .wishart import map_chunks
 from .wishart import sample_bartlett, sample_gaussian_sum  # noqa: F401 - bench/spans.py wraps it
 
 EXIT_OK = 0
@@ -250,15 +251,19 @@ def cmd_sample(args) -> int:
     sigma = load_sigma(args.sigma)
     params = WishartParams(alpha=args.alpha, sigma=sigma)
     # Every refusal comes before --out is opened, so a refused run leaves it untouched.
-    draw = chunk_sampler(params, args.method)
-    count = check_int(args.count, "draw count", 0)
-    up_r, up_c = np.triu_indices(params.dim)
-    tails = [f",{r},{c}," for r, c in zip(up_r.tolist(), up_c.tolist())]
+    chunk_rows = _factor_rows(params, args.method)
+    per_draw = _factor_values(params, args.method)
+    count = check_draws(args.count, "draw count", 0, _CHUNKS, per_draw)
+    p = params.dim
+    # X[r, c] with r <= c is _gram's g[c][r], in row-major upper-triangle order.
+    pairs = [(r, c) for r in range(p) for c in range(r, p)]
+    tails = [f",{r},{c}," for r, c in pairs]
 
     def write_chunk(task) -> int:
         # ``tolist`` yields Python floats, whose ``repr`` is ``fmt_float``.
         rng, start, m = task
-        upper = draw(rng, m)[:, up_r, up_c]
+        g = _gram(chunk_rows(rng, m)(0, p))
+        upper = np.array([g[c][r] for r, c in pairs]).T
         fh.writelines(
             "".join([f"{t}{tail}{v!r}\n" for tail, v in zip(tails, values.tolist())])
             for t, values in enumerate(upper, start)
@@ -267,7 +272,7 @@ def cmd_sample(args) -> int:
 
     with _opened(args.out) as fh:
         fh.write("draw,i,j,value\n")
-        # Each chunk is written as soon as it is drawn, so memory holds one chunk.
+        # Each chunk is written as soon as it is drawn, so memory holds one chunk's Gram.
         rows = sum(map_chunks(write_chunk, count, args.seed))
     # The draws file is plain CSV; the self-describing run record goes to
     # stdout so metadata always accompanies the artifact.

@@ -18,7 +18,8 @@ import numpy as np
 from .errors import DegenerateEstimate, DimensionMismatch, check_int, check_real
 from .moments import MomentQuery, admit_disjoint, admit_embedded
 from .streams import chunk_sizes, map_ordered, substreams  # noqa: F401 - bench/spans.py wraps them
-from .wishart import WishartParams, _bartlett_dofs, _factor_rows, _gram, map_chunks
+from .wishart import _CHUNKS, WishartParams, _bartlett_dofs, _factor_rows, _factor_values, _gram
+from .wishart import check_draws, map_chunks
 
 __all__ = [
     "McEstimate",
@@ -184,6 +185,7 @@ def estimate_embedded(
     so a draw needs only the p Bartlett chi-squares, taken in log space.
     """
     admit_embedded(params, query)
+    n = check_draws(n, "sample count", 2, _CHUNKS, params.dim)  # p chi-squares a draw
     return estimate_log_statistic(_embedded_stat_factory(params, query), n, seed)
 
 
@@ -251,6 +253,8 @@ def estimate_disjoint(
     numerically singular gets ``-inf``.
     """
     admit_disjoint(params, query)
+    method = "bartlett" if params.nonsingular else "gaussian-sum"  # _disjoint_stat's T
+    n = check_draws(n, "sample count", 2, _CHUNKS, _factor_values(params, method))
     return estimate_log_statistic(_disjoint_stat(params, query), n, seed)
 
 

@@ -1,10 +1,9 @@
 """Wishart parameters, samplers, and the one chunked-sampling driver.
 
 Both sampling methods write a draw as X = T T^T.  ``_factor_rows`` builds
-T's rows and ``_gram`` their Gram, for the samplers and the disjoint-minor
-statistic alike; ``chunk_sampler`` turns one chunk's rows into draws, for the
-batch samplers and the CLI's chunk-by-chunk writer.  ``_bartlett_variates``
-holds the Bartlett stream order.
+T's rows and ``_gram`` their Gram, for the batch samplers, the CLI's
+chunk-by-chunk writer and the disjoint-minor statistic alike.
+``_bartlett_variates`` holds the Bartlett stream order.
 
 A p x p Wishart with shape ``alpha`` and scale ``sigma`` is supported on
 positive definite matrices when ``alpha > p - 1`` (the nonsingular
@@ -34,6 +33,8 @@ __all__ = [
 # A fixed chunk count keeps the batch-means error valid and makes the chunk
 # layout, and with it every draw, a function of (n, seed) alone.
 _CHUNKS = 64
+# Doubles in the largest array numpy can address, np.iinfo(np.intp).max bytes.
+_MAX_DOUBLES = int(np.iinfo(np.intp).max) // 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,6 +97,25 @@ def map_chunks(fn, n: int, seed: int) -> list:
     sizes = chunk_sizes(n, min(n, _CHUNKS)) if n else []
     starts = itertools.accumulate(sizes, initial=0)
     return map_ordered(fn, zip(substreams(seed, len(sizes)), starts, sizes))
+
+
+def check_draws(n, what: str, low: int, chunks: int, per_draw: int) -> int:
+    """``n`` as an int; DomainError unless it is an integer >= ``low`` that numpy can hold.
+
+    Split into ``chunks`` near-equal chunks, ``n`` draws of ``per_draw``
+    doubles hold ceil(n / chunks) draws at once, and one numpy array
+    addresses at most ``np.iinfo(np.intp).max`` bytes: past that numpy
+    raises a bare ValueError mid-run.  So every caller checks its count
+    before any draw: ``map_chunks`` makes ``_CHUNKS`` chunks, a batch is one.
+    """
+    n = check_int(n, what, low)
+    high = chunks * (_MAX_DOUBLES // per_draw) + 1
+    if n >= high:
+        raise DomainError(
+            f"{what} must be an integer in [{low}, {high}) so that the draws held "
+            f"at once fit one numpy array, got {n}"
+        )
+    return n
 
 
 def _bartlett_dofs(alpha: float, p: int) -> np.ndarray:
@@ -187,6 +207,12 @@ def _factor_rows(params: WishartParams, method: str):
     return chunk_rows
 
 
+def _factor_values(params: WishartParams, method: str) -> int:
+    """Values of one draw's factor T: p(p+1)/2 Bartlett variates, or alpha p normals."""
+    p = params.dim
+    return p * (p + 1) // 2 if method == "bartlett" else p * int(params.alpha)
+
+
 def _gram(rows: list[np.ndarray] | np.ndarray) -> list[list[np.ndarray]]:
     """Lower triangle of the Gram R R^T of batch-last rows, one length-m vector per entry.
 
@@ -199,50 +225,32 @@ def _gram(rows: list[np.ndarray] | np.ndarray) -> list[list[np.ndarray]]:
     ]
 
 
-def chunk_sampler(params: WishartParams, method: str):
-    """Return ``draw(rng, m, out=None, factors=None)``, which gives m draws X = T T^T.
+def _sample_batch(params, method, count, seed) -> SampleBatch:
+    """Draw ``count`` matrices X = T T^T from ``_factor_rows(params, method)`` as a batch.
 
-    The draws are the mirrored ``_gram`` of all rows of one ``_factor_rows``
-    chunk, exactly symmetric and with no BLAS call per draw, written into
-    ``out`` (shape (m, p, p)) when it is given.  For the bartlett method,
-    ``factors`` of that shape, when given, gets T's rows in its lower
-    triangle.  Building the sampler raises what ``_factor_rows`` raises,
-    before any draw.
+    Each chunk writes its draws, the mirrored ``_gram`` of all of T's rows
+    (exactly symmetric, with no BLAS call per draw), and for the bartlett
+    method T's rows into the lower triangle of the zero factors, straight
+    into its own rows of the two preallocated arrays.
     """
     chunk_rows = _factor_rows(params, method)
+    count = check_draws(count, "draw count", 0, _CHUNKS, _factor_values(params, method))
     p = params.dim
-    # Row-major, the order of _gram's lower triangle and of each row's entries.
-    low_r, low_c = np.tril_indices(p)
-
-    def draw(rng: np.random.Generator, m: int, out=None, factors=None) -> np.ndarray:
-        t = chunk_rows(rng, m)(0, p)
-        g = np.array([g_rs for g_r in _gram(t) for g_rs in g_r]).T
-        x = np.empty((m, p, p)) if out is None else out
-        x[:, low_r, low_c] = x[:, low_c, low_r] = g
-        if factors is not None:
-            factors[:, low_r, low_c] = np.concatenate(t).T
-        return x
-
-    return draw
-
-
-def _sample_batch(params, method, count, seed) -> SampleBatch:
-    """Draw ``count`` matrices from ``chunk_sampler(params, method)`` as a batch.
-
-    Each chunk writes its draws, and for the bartlett method its zero-padded
-    factors, straight into its own rows of the two preallocated arrays.
-    """
-    draw = chunk_sampler(params, method)
-    count = check_int(count, "draw count", 0)
-    p = params.dim
+    check_draws(count, "draw count", 0, 1, p * p)
     shape = (count, p, p)
     draws = np.empty(shape)
     factors = np.zeros(shape) if method == "bartlett" else None
+    # Row-major, the order of _gram's lower triangle and of each row's entries.
+    low_r, low_c = np.tril_indices(p)
 
     def run(task):
         rng, start, m = task
         rows = slice(start, start + m)
-        draw(rng, m, draws[rows], None if factors is None else factors[rows])
+        t = chunk_rows(rng, m)(0, p)
+        g = np.array([g_rs for g_r in _gram(t) for g_rs in g_r]).T
+        draws[rows, low_r, low_c] = draws[rows, low_c, low_r] = g
+        if factors is not None:
+            factors[rows, low_r, low_c] = np.concatenate(t).T
 
     map_chunks(run, count, seed)
     draws.setflags(write=False)

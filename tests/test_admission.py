@@ -2,11 +2,12 @@
 
 Counts, sizes, seeds and orders must be a ``numbers.Integral`` other than
 ``bool`` in range, so NaN, inf, ``2.0``, ``True``, ``1.5`` and ``-1`` all get
-the typed error.  Shapes, gamma bases, exponents, correlations, variances and
-exact log values must be a ``numbers.Real`` other than ``bool`` that converts
-to a finite float; exponents must also be >= 0.  Tuple-valued arguments must
-be a sequence other than a string, or a 1-d numpy array, of the right length.
-``SearchConfig`` has more cases in ``test_gpi.py``.
+the typed error, and so does a draw count whose draws numpy could not hold
+in one array, like ``10**20``.  Shapes, gamma bases, exponents, correlations,
+variances and exact log values must be a ``numbers.Real`` other than ``bool``
+that converts to a finite float; exponents must also be >= 0.  Tuple-valued
+arguments must be a sequence other than a string, or a 1-d numpy array, of the
+right length.  ``SearchConfig`` has more cases in ``test_gpi.py``.
 """
 import math
 from fractions import Fraction
@@ -91,8 +92,17 @@ REAL_ENTRIES = {
 }
 
 
-@pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
-@pytest.mark.parametrize("entry", INTEGER_ENTRIES)
+INTEGER_CASES = [
+    pytest.param(entry, value, id=f"{entry}-{value!r}")
+    for entry in INTEGER_ENTRIES
+    for value in NOT_INTEGERS
+]
+# A count whose draws numpy could not hold in one array: refused before any draw.
+INTEGER_CASES.append(pytest.param("sample_bartlett-count", 10**20,
+                                  id="sample_bartlett-count-10**20"))
+
+
+@pytest.mark.parametrize("entry, value", INTEGER_CASES)
 def test_integer_arguments_refuse_non_integers(entry, value):
     call, error = INTEGER_ENTRIES[entry]
     with pytest.raises(error, match="must be an integer"):

@@ -24,6 +24,7 @@ from wishminors.cli import (
     read_matrix_csv,
     write_matrix_csv,
 )
+from conftest import random_spd
 
 
 def run(capsys, *argv):
@@ -336,6 +337,10 @@ class TestVerify:
         assert json.loads(out)["verdict"] == "inconsistent"
 
 
+SIGMA_3 = [[2.0, 0.5, 0.1], [0.5, 1.0, 0.0], [0.1, 0.0, 1.5]]
+SIGMA_6 = random_spd(np.random.default_rng(6), 6, cond=20.0)
+
+
 class TestSample:
     def test_requires_out(self, tmp_path, capsys):
         path = sigma_file(tmp_path, [[1.0]])
@@ -370,11 +375,26 @@ class TestSample:
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize(
-        "method, alpha, sampler",
-        [("bartlett", 2.5, sample_bartlett), ("gaussian-sum", 3.0, sample_gaussian_sum)],
+        "sigma, method, alpha, sampler",
+        [
+            pytest.param(SIGMA_3, "bartlett", 2.5, sample_bartlett,
+                         id="bartlett-2.5-sample_bartlett"),
+            pytest.param(SIGMA_3, "gaussian-sum", 3.0, sample_gaussian_sum,
+                         id="gaussian-sum-3.0-sample_gaussian_sum"),
+            pytest.param([[2.0]], "bartlett", 2.5, sample_bartlett, id="1x1-bartlett"),
+            pytest.param([[2.0]], "gaussian-sum", 3.0, sample_gaussian_sum,
+                         id="1x1-gaussian-sum"),
+            # The shape of the sample_csv benchmark workload.
+            pytest.param(SIGMA_6, "bartlett", 8.0, sample_bartlett, id="6x6-bartlett-8.0"),
+            pytest.param(SIGMA_6, "gaussian-sum", 8.0, sample_gaussian_sum,
+                         id="6x6-gaussian-sum-8.0"),
+        ],
     )
-    def test_draws_file_bytes(self, tmp_path, capsys, method, alpha, sampler):
-        sigma = np.array([[2.0, 0.5, 0.1], [0.5, 1.0, 0.0], [0.1, 0.0, 1.5]])
+    def test_draws_file_bytes(self, tmp_path, capsys, sigma, method, alpha, sampler):
+        # Each CSV value is read off the Gram of T's rows, X[r, c] = g[c][r] for
+        # r <= c; it must be the sampler's draw entry, byte for byte.
+        sigma = np.asarray(sigma)
+        p = len(sigma)
         path = sigma_file(tmp_path, sigma)
         dest = tmp_path / "draws.csv"
         params = WishartParams(alpha=alpha, sigma=SpdMatrix.from_array(sigma))
@@ -384,7 +404,7 @@ class TestSample:
             want = "draw,i,j,value\n" + "".join(
                 f"{t},{r},{c},{fmt_float(draw[r, c])}\n"
                 for t, draw in enumerate(draws)
-                for r, c in zip(*np.triu_indices(3))
+                for r, c in zip(*np.triu_indices(p))
             )
             for workers in ("1", "2"):
                 code, out, _ = run(
@@ -393,7 +413,7 @@ class TestSample:
                     "--workers", workers, "--out", str(dest),
                 )
                 assert code == EXIT_OK
-                assert json.loads(out)["rows_written"] == 6 * count
+                assert json.loads(out)["rows_written"] == p * (p + 1) // 2 * count
                 assert dest.read_text() == want
 
     @pytest.mark.parametrize("existing", [False, True], ids=["absent", "existing"])
@@ -406,9 +426,12 @@ class TestSample:
             (["--alpha", "4", "--method", "bartlett", "--count", "2.5"], EXIT_PARSE),
             (["--alpha", "4", "--method", "bartlett", "--count", "5", "--seed", "-1"],
              EXIT_DOMAIN),
+            # Draws that numpy could not hold in one array, at the count or at the shape.
+            (["--alpha", "3", "--method", "bartlett", "--count", str(10**20)], EXIT_DOMAIN),
+            (["--alpha", "1e300", "--method", "gaussian-sum", "--count", "1"], EXIT_DOMAIN),
         ],
         ids=["non-integer-alpha", "singular-bartlett", "negative-count", "non-integer-count",
-             "negative-seed"],
+             "negative-seed", "count-past-numpy", "alpha-past-numpy"],
     )
     def test_refusal_leaves_out_untouched(self, tmp_path, capsys, flags, code_want, existing):
         path = sigma_file(tmp_path, np.eye(2))
@@ -717,6 +740,15 @@ class TestOutOfRangeInputs:
                           "--trials", "1", "--samples", "100"], id="gpi-alpha-range-inf"),
             pytest.param(["gpi", "--kind", "gaussian", "--dims", "2", "--alpha-range", "2:5",
                           "--trials", "1", "--samples", "100"], id="gpi-gaussian-alpha-range"),
+            # Counts whose largest chunk numpy could not hold in one array.
+            pytest.param(["verify", "--alpha", "3", "--partition", "1,1", "--nu", "1,1",
+                          "--mode", "embedded", "--samples", str(10**20)],
+                         id="verify-embedded-samples-10**20"),
+            pytest.param(["verify", "--alpha", "3", "--partition", "1,1", "--nu", "1,1",
+                          "--mode", "disjoint", "--samples", str(10**20)],
+                         id="verify-disjoint-samples-10**20"),
+            pytest.param(["gpi", "--kind", "wishart", "--dims", "1", "--alpha-range", "2:3",
+                          "--trials", "1", "--samples", str(10**20)], id="gpi-samples-10**20"),
         ],
     )
     def test_exits_domain_with_one_line(self, tmp_path, argv):
