@@ -44,8 +44,7 @@ from .montecarlo import (
 )
 from .specfun import log_multigamma_ratio  # noqa: F401 - bench/spans.py wraps it
 from .streams import check_seed
-from .wishart import _CHUNKS, WishartParams, _factor_rows, _factor_values, _gram, check_draws
-from .wishart import map_chunks
+from .wishart import WishartParams, _factor_rows, _gram, check_draws, map_chunks
 from .wishart import sample_bartlett, sample_gaussian_sum  # noqa: F401 - bench/spans.py wraps it
 
 EXIT_OK = 0
@@ -251,9 +250,8 @@ def cmd_sample(args) -> int:
     sigma = load_sigma(args.sigma)
     params = WishartParams(alpha=args.alpha, sigma=sigma)
     # Every refusal comes before --out is opened, so a refused run leaves it untouched.
-    chunk_rows = _factor_rows(params, args.method)
-    per_draw = _factor_values(params, args.method)
-    count = check_draws(args.count, "draw count", 0, _CHUNKS, per_draw)
+    per_draw, chunk_rows = _factor_rows(params, args.method)
+    count = check_draws(args.count, "draw count", 0, per_draw)
     p = params.dim
     # X[r, c] with r <= c is _gram's g[c][r], in row-major upper-triangle order.
     pairs = [(r, c) for r in range(p) for c in range(r, p)]

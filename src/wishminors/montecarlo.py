@@ -18,8 +18,7 @@ import numpy as np
 from .errors import DegenerateEstimate, DimensionMismatch, check_int, check_real
 from .moments import MomentQuery, admit_disjoint, admit_embedded
 from .streams import chunk_sizes, map_ordered, substreams  # noqa: F401 - bench/spans.py wraps them
-from .wishart import _CHUNKS, WishartParams, _bartlett_dofs, _factor_rows, _factor_values, _gram
-from .wishart import check_draws, map_chunks
+from .wishart import WishartParams, _bartlett_dofs, _factor_rows, _gram, check_draws, map_chunks
 
 __all__ = [
     "McEstimate",
@@ -185,7 +184,7 @@ def estimate_embedded(
     so a draw needs only the p Bartlett chi-squares, taken in log space.
     """
     admit_embedded(params, query)
-    n = check_draws(n, "sample count", 2, _CHUNKS, params.dim)  # p chi-squares a draw
+    n = check_draws(n, "sample count", 2, params.dim)  # p chi-squares a draw
     return estimate_log_statistic(_embedded_stat_factory(params, query), n, seed)
 
 
@@ -214,17 +213,15 @@ def _gram_logdet(rows: list[np.ndarray] | np.ndarray) -> np.ndarray:
     return np.fmax(logdet, -np.inf, out=logdet) if len(g) > 1 else logdet
 
 
-def _disjoint_stat(params: WishartParams, query: MomentQuery):
+def _disjoint_stat(query: MomentQuery, chunk_rows):
     """Return ``stat(rng, m)``: per draw, the nu-weighted sum of block log-minors.
 
     Block k of X = T T^T is the Gram matrix of T's rows ``a:b``, so every
     weighted block's log-minor is ``_gram_logdet`` of the rows that
-    ``wishart._factor_rows`` builds for it: the Bartlett T when
-    ``alpha > p - 1``, else the Gaussian-sum T.
+    ``chunk_rows``, the builder ``wishart._factor_rows`` returns, draws for it.
     """
     prefix = query.partition.prefix
     spans = [(a, b, nu_k) for a, b, nu_k in zip(prefix, prefix[1:], query.nu) if nu_k != 0.0]
-    chunk_rows = _factor_rows(params, "bartlett" if params.nonsingular else "gaussian-sum")
 
     def stat(rng: np.random.Generator, m: int) -> np.ndarray:
         rows = chunk_rows(rng, m)
@@ -253,9 +250,9 @@ def estimate_disjoint(
     numerically singular gets ``-inf``.
     """
     admit_disjoint(params, query)
-    method = "bartlett" if params.nonsingular else "gaussian-sum"  # _disjoint_stat's T
-    n = check_draws(n, "sample count", 2, _CHUNKS, _factor_values(params, method))
-    return estimate_log_statistic(_disjoint_stat(params, query), n, seed)
+    values, chunk_rows = _factor_rows(params, "bartlett" if params.nonsingular else "gaussian-sum")
+    n = check_draws(n, "sample count", 2, values)
+    return estimate_log_statistic(_disjoint_stat(query, chunk_rows), n, seed)
 
 
 def compare(exact_log: float, mc: McEstimate) -> ComparisonReport:

@@ -1,9 +1,12 @@
 """Wishart parameters, samplers, and the one chunked-sampling driver.
 
-Both sampling methods write a draw as X = T T^T.  ``_factor_rows`` builds
-T's rows and ``_gram`` their Gram, for the batch samplers, the CLI's
-chunk-by-chunk writer and the disjoint-minor statistic alike.
-``_bartlett_variates`` holds the Bartlett stream order.
+Both sampling methods write a draw as X = T T^T.  ``_factor_rows`` sizes
+T and builds its rows, and ``_gram`` their Gram, for the batch samplers,
+the CLI's chunk-by-chunk writer and the disjoint-minor statistic alike.
+``_bartlett_variates`` holds the Bartlett stream order.  The chunk count
+lives here alone: ``map_chunks`` splits a run by it, and ``check_draws``
+refuses, before any draw, a count whose largest chunk numpy cannot address
+or the allocator cannot grant.
 
 A p x p Wishart with shape ``alpha`` and scale ``sigma`` is supported on
 positive definite matrices when ``alpha > p - 1`` (the nonsingular
@@ -99,14 +102,16 @@ def map_chunks(fn, n: int, seed: int) -> list:
     return map_ordered(fn, zip(substreams(seed, len(sizes)), starts, sizes))
 
 
-def check_draws(n, what: str, low: int, chunks: int, per_draw: int) -> int:
-    """``n`` as an int; DomainError unless it is an integer >= ``low`` that numpy can hold.
+def check_draws(n, what: str, low: int, per_draw: int, chunks: int = _CHUNKS) -> int:
+    """``n`` as an int; DomainError unless it is an integer >= ``low`` whose chunk fits.
 
-    Split into ``chunks`` near-equal chunks, ``n`` draws of ``per_draw``
-    doubles hold ceil(n / chunks) draws at once, and one numpy array
-    addresses at most ``np.iinfo(np.intp).max`` bytes: past that numpy
-    raises a bare ValueError mid-run.  So every caller checks its count
-    before any draw: ``map_chunks`` makes ``_CHUNKS`` chunks, a batch is one.
+    Split into ``chunks`` near-equal chunks (``map_chunks``' ``_CHUNKS``; a
+    batch passes one), ``n`` draws of ``per_draw`` doubles hold ceil(n /
+    chunks) draws at once.  Past ``np.iinfo(np.intp).max`` bytes numpy
+    raises a bare ValueError mid-run, and past what the allocator grants it
+    raises MemoryError there.  So every caller checks its count before any
+    draw: the arithmetic bound first, then one reservation of the largest
+    chunk's doubles, never written, so it touches no page.
     """
     n = check_int(n, what, low)
     high = chunks * (_MAX_DOUBLES // per_draw) + 1
@@ -115,6 +120,14 @@ def check_draws(n, what: str, low: int, chunks: int, per_draw: int) -> int:
             f"{what} must be an integer in [{low}, {high}) so that the draws held "
             f"at once fit one numpy array, got {n}"
         )
+    held = -(-n // chunks)
+    try:
+        np.empty(held * per_draw)
+    except MemoryError:
+        raise DomainError(
+            f"{what} must be an integer whose {held} draws held at once "
+            f"({held * per_draw * 8} bytes) fit in memory, got {n}"
+        ) from None
     return n
 
 
@@ -141,25 +154,29 @@ def _bartlett_variates(rng: np.random.Generator, dofs: np.ndarray, m: int, out=N
 
 
 def _factor_rows(params: WishartParams, method: str):
-    """Return ``chunk_rows(rng, m)``, which draws m factors T and returns ``rows``.
+    """Return ``(values, chunk_rows)``: the doubles one draw's T holds, and T's builder.
 
-    ``rows(a, b)`` builds only rows ``a:b`` of T, as a sequence of batch-last
-    arrays, row i of shape (c_i, m); block ``a:b`` of X = T T^T is their ``_gram``.
+    ``values`` is what ``check_draws`` weighs a draw by.  ``chunk_rows(rng,
+    m)`` draws m factors T and returns ``rows``: ``rows(a, b)`` builds only
+    rows ``a:b`` of T, as a sequence of batch-last arrays, row i of shape
+    (c_i, m); block ``a:b`` of X = T T^T is their ``_gram``.
 
     ``bartlett``: T = L A with L the scale's Cholesky factor and A the
     Bartlett triangle of ``_bartlett_variates`` (Muirhead 1982, Thm 3.2.14),
-    for the nonsingular regime.  Row i is ``T_ij = L_ij d_j + sum_{l=j+1..i}
-    L_il z_lj``, with d_j^2 the j-th chi-square and z_lj the normal at (l, j)
-    of A; it keeps its c_i = i + 1 leading entries, T being lower triangular.
+    for the nonsingular regime; its values are A's p(p+1)/2 variates.  Row i
+    is ``T_ij = L_ij d_j + sum_{l=j+1..i} L_il z_lj``, with d_j^2 the j-th
+    chi-square and z_lj the normal at (l, j) of A; it keeps its c_i = i + 1
+    leading entries, T being lower triangular.
     The builder owns one normals array and its batch-last copy, sized by the
     first (largest) chunk and reused by every chunk, so no chunk faults in
     fresh pages for them.  A chunk's ``rows`` reads them, so it is valid until
     the next ``chunk_rows`` call; the rows it returns are fresh, the caller's.
 
     ``gaussian-sum``: T = L G^T with G an alpha x p standard normal matrix
-    (c_i = alpha), so T T^T sums alpha outer products of N(0, sigma)
-    vectors; it needs a positive integer alpha and covers the singular
-    regime.  Its rows are slices of one GEMM, ``z @ L^T``, copied once.
+    (c_i = alpha; its values are G's alpha p normals), so T T^T sums alpha
+    outer products of N(0, sigma) vectors; it needs a positive integer alpha
+    and covers the singular regime.  Its rows are slices of one GEMM,
+    ``z @ L^T``, copied once.
     """
     p = params.dim
     chol = params.sigma.chol
@@ -189,7 +206,7 @@ def _factor_rows(params: WishartParams, method: str):
 
             return rows
 
-        return chunk_rows
+        return p * (p + 1) // 2, chunk_rows
     alpha = params.alpha
     if not alpha.is_integer() or alpha < 1:
         raise NonIntegerAlpha(
@@ -204,13 +221,7 @@ def _factor_rows(params: WishartParams, method: str):
         t = z.T.reshape(p, m, n_terms).transpose(0, 2, 1).copy()
         return lambda a, b: t[a:b]
 
-    return chunk_rows
-
-
-def _factor_values(params: WishartParams, method: str) -> int:
-    """Values of one draw's factor T: p(p+1)/2 Bartlett variates, or alpha p normals."""
-    p = params.dim
-    return p * (p + 1) // 2 if method == "bartlett" else p * int(params.alpha)
+    return p * n_terms, chunk_rows
 
 
 def _gram(rows: list[np.ndarray] | np.ndarray) -> list[list[np.ndarray]]:
@@ -233,10 +244,10 @@ def _sample_batch(params, method, count, seed) -> SampleBatch:
     method T's rows into the lower triangle of the zero factors, straight
     into its own rows of the two preallocated arrays.
     """
-    chunk_rows = _factor_rows(params, method)
-    count = check_draws(count, "draw count", 0, _CHUNKS, _factor_values(params, method))
+    per_draw, chunk_rows = _factor_rows(params, method)
+    count = check_draws(count, "draw count", 0, per_draw)
     p = params.dim
-    check_draws(count, "draw count", 0, 1, p * p)
+    check_draws(count, "draw count", 0, p * p, chunks=1)  # the (count, p, p) draws
     shape = (count, p, p)
     draws = np.empty(shape)
     factors = np.zeros(shape) if method == "bartlett" else None

@@ -97,9 +97,13 @@ INTEGER_CASES = [
     for entry in INTEGER_ENTRIES
     for value in NOT_INTEGERS
 ]
-# A count whose draws numpy could not hold in one array: refused before any draw.
-INTEGER_CASES.append(pytest.param("sample_bartlett-count", 10**20,
-                                  id="sample_bartlett-count-10**20"))
+# Counts whose largest chunk numpy could not hold in one array (10**20), or
+# the allocator could not grant past any 47-bit address space (10**17):
+# refused before any draw.
+INTEGER_CASES += [
+    pytest.param("sample_bartlett-count", 10**20, id="sample_bartlett-count-10**20"),
+    pytest.param("sample_bartlett-count", 10**17, id="sample_bartlett-count-10**17"),
+]
 
 
 @pytest.mark.parametrize("entry, value", INTEGER_CASES)

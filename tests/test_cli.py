@@ -429,9 +429,11 @@ class TestSample:
             # Draws that numpy could not hold in one array, at the count or at the shape.
             (["--alpha", "3", "--method", "bartlett", "--count", str(10**20)], EXIT_DOMAIN),
             (["--alpha", "1e300", "--method", "gaussian-sum", "--count", "1"], EXIT_DOMAIN),
+            # A chunk past 2**47 bytes, which no allocator can grant.
+            (["--alpha", "3", "--method", "bartlett", "--count", str(10**17)], EXIT_DOMAIN),
         ],
         ids=["non-integer-alpha", "singular-bartlett", "negative-count", "non-integer-count",
-             "negative-seed", "count-past-numpy", "alpha-past-numpy"],
+             "negative-seed", "count-past-numpy", "alpha-past-numpy", "count-past-memory"],
     )
     def test_refusal_leaves_out_untouched(self, tmp_path, capsys, flags, code_want, existing):
         path = sigma_file(tmp_path, np.eye(2))
@@ -749,6 +751,15 @@ class TestOutOfRangeInputs:
                          id="verify-disjoint-samples-10**20"),
             pytest.param(["gpi", "--kind", "wishart", "--dims", "1", "--alpha-range", "2:3",
                           "--trials", "1", "--samples", str(10**20)], id="gpi-samples-10**20"),
+            # Counts whose largest chunk, past 2**47 bytes, no allocator can grant.
+            pytest.param(["verify", "--alpha", "3", "--partition", "1,1", "--nu", "1,1",
+                          "--mode", "embedded", "--samples", str(10**17)],
+                         id="verify-embedded-samples-10**17"),
+            pytest.param(["verify", "--alpha", "3", "--partition", "1,1", "--nu", "1,1",
+                          "--mode", "disjoint", "--samples", str(10**17)],
+                         id="verify-disjoint-samples-10**17"),
+            pytest.param(["gpi", "--kind", "wishart", "--dims", "1", "--alpha-range", "2:3",
+                          "--trials", "1", "--samples", str(10**17)], id="gpi-samples-10**17"),
         ],
     )
     def test_exits_domain_with_one_line(self, tmp_path, argv):

@@ -208,7 +208,7 @@ class TestEstimateEmbedded:
         # complements of the paper's proof.
         params = params_of(alpha, random_spd(rng, sum(sizes), cond=30.0))
         query = MomentQuery(partition=BlockPartition(sizes), nu=nu)
-        chunk_rows = _factor_rows(params, "gaussian-sum")
+        _, chunk_rows = _factor_rows(params, "gaussian-sum")
         prefix = query.partition.prefix[1:]
 
         def stat(gen, m):
@@ -482,7 +482,8 @@ class TestUnitBartlettKernel:
         query = MomentQuery(partition=BlockPartition(sizes), nu=nu)
         m = 1563
         got_rng = np.random.Generator(np.random.Philox(61))
-        got = wishminors.montecarlo._disjoint_stat(params, query)(got_rng, m)
+        _, chunk_rows = _factor_rows(params, "bartlett")
+        got = wishminors.montecarlo._disjoint_stat(query, chunk_rows)(got_rng, m)
         want_rng = np.random.Generator(np.random.Philox(61))
         want, cond = self.matmul_reference(params, sizes, nu, want_rng, m)
         assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state)
@@ -544,7 +545,10 @@ class TestUnitBlockBatching:
                     gpi.ratio_log, gpi.ratio_stderr, gpi.violation_z)
 
         got = run()
-        monkeypatch.setattr(wishminors.montecarlo, "_disjoint_stat", per_block_disjoint_stat)
+        monkeypatch.setattr(
+            wishminors.montecarlo, "_disjoint_stat",
+            lambda query, _: per_block_disjoint_stat(instance.params, query),
+        )
         assert got == pytest.approx(run(), rel=1e-12)
 
 

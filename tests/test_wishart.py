@@ -213,7 +213,7 @@ class TestBartlettFactor:
         pr = params_of(7.5, random_spd(rng, 5, cond=10.0))
         p, chol = pr.dim, pr.sigma.chol
         dofs = _bartlett_dofs(pr.alpha, p)
-        chunk_rows = _factor_rows(pr, "bartlett")
+        _, chunk_rows = _factor_rows(pr, "bartlett")
         reference = reference_factor(pr, "bartlett")
         gen, ref, twin = (np.random.default_rng(17) for _ in range(3))
         returned = []
