@@ -260,7 +260,7 @@ def cmd_sample(args) -> int:
     def write_chunk(task) -> int:
         # ``tolist`` yields Python floats, whose ``repr`` is ``fmt_float``.
         rng, start, m = task
-        g = _gram(chunk_rows(rng, m)(0, p))
+        g = _gram(chunk_rows(rng, m))
         upper = np.array([g[c][r] for r, c in pairs]).T
         fh.writelines(
             "".join([f"{t}{tail}{v!r}\n" for tail, v in zip(tails, values.tolist())])

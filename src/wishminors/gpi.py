@@ -7,7 +7,7 @@ vector Z ~ N(0, R), which is the alpha = 1, unit-block Wishart with
 scale R.  Numerators are Monte Carlo, denominators are always exact (the
 per-block moment formula), and a trial is only ever flagged, never
 declared a counterexample: suspicious trials are re-run once at 10x the
-sample size on a fresh substream.
+sample size on the trial's escalation seed.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from .moments import MomentQuery, block_moments_log
 from .moments import single_minor_moment_log  # noqa: F401 - bench/spans.py wraps it
 from .montecarlo import McEstimate, Verdict, _verdict_for, compare, estimate_disjoint, exp_or_inf
 from .montecarlo import estimate_log_statistic  # noqa: F401 - bench/spans.py wraps it
-from .streams import check_seed, map_ordered
+from .streams import check_seed, map_ordered, stream, stream_seed
 from .wishart import WishartParams
 
 __all__ = [
@@ -287,25 +287,21 @@ def _draw_instance(config: SearchConfig, rng: np.random.Generator, index: int):
 def search(config: SearchConfig) -> SearchReport:
     """Run the randomized search; most conjecture-threatening trials first.
 
-    Each trial owns three deterministic substreams (instance generation,
-    estimation, escalation) spawned from the master seed, so any line of
-    the report can be reproduced in isolation.  A non-consistent first
-    pass triggers one re-run at 10x samples on the escalation stream; the
-    re-run's verdict is final.
+    Trial ``i`` draws its instance from the stream at ``(i, 0)`` of the
+    search seed and takes its estimate and escalation seeds from ``(i, 1)``
+    and ``(i, 2)`` (``streams.stream``, ``streams.stream_seed``), so any
+    line of the report can be reproduced in isolation.  A non-consistent
+    first pass triggers one re-run at 10x samples on the escalation seed;
+    the re-run's verdict is final.
 
     Trials run in order on the calling thread: at p <= 3 a trial is short
     numpy calls, and two trial threads trading the GIL cost half again the
     CPU for no more draws per second.
     """
-    root = np.random.SeedSequence(int(config.seed))
-    trial_seqs = root.spawn(config.trials)
-
     def run_trial(index: int) -> TrialRecord:
-        gen_seq, est_seq, esc_seq = trial_seqs[index].spawn(3)
-        rng = np.random.Generator(np.random.Philox(gen_seq))
-        instance = _draw_instance(config, rng, index)
-        est_seed = int(est_seq.generate_state(1, np.uint64)[0])
-        esc_seed = int(esc_seq.generate_state(1, np.uint64)[0])
+        instance = _draw_instance(config, stream(config.seed, index, 0), index)
+        est_seed = stream_seed(config.seed, index, 1)
+        esc_seed = stream_seed(config.seed, index, 2)
         result = gpi_ratio(instance, config.samples, est_seed)
         if result.verdict is not Verdict.CONSISTENT:
             rerun = gpi_ratio(instance, _ESCALATION_FACTOR * config.samples, esc_seed)

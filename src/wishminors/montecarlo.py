@@ -217,8 +217,8 @@ def _disjoint_stat(query: MomentQuery, chunk_rows):
     """Return ``stat(rng, m)``: per draw, the nu-weighted sum of block log-minors.
 
     Block k of X = T T^T is the Gram matrix of T's rows ``a:b``, so every
-    weighted block's log-minor is ``_gram_logdet`` of the rows that
-    ``chunk_rows``, the builder ``wishart._factor_rows`` returns, draws for it.
+    weighted block's log-minor is ``_gram_logdet(rows[a:b])`` of the rows
+    ``chunk_rows`` (from ``wishart._factor_rows``) returns for the chunk.
     """
     prefix = query.partition.prefix
     spans = [(a, b, nu_k) for a, b, nu_k in zip(prefix, prefix[1:], query.nu) if nu_k != 0.0]
@@ -227,7 +227,7 @@ def _disjoint_stat(query: MomentQuery, chunk_rows):
         rows = chunk_rows(rng, m)
         s = np.zeros(m)
         for a, b, nu_k in spans:
-            s += nu_k * _gram_logdet(rows(a, b))
+            s += nu_k * _gram_logdet(rows[a:b])
         return s
 
     return stat
@@ -242,12 +242,12 @@ def estimate_disjoint(
     or the Gaussian-sum factor (singular integer shapes), from
     ``wishart._factor_rows``: at the same ``(n, seed)`` it is the T of
     ``sample_bartlett`` or ``sample_gaussian_sum``, and each block's Gram
-    equals the samplers' diagonal block bit for bit.  Only the weighted
-    blocks' rows of T are built, batch-last.  A block's log-minor is the
-    log-determinant of its rows' Gram matrix, from Gaussian elimination
-    vectorized across the chunk (``_gram_logdet``): a few numpy calls per
-    chunk instead of one LAPACK call per draw.  A draw whose block is
-    numerically singular gets ``-inf``.
+    equals the samplers' diagonal block bit for bit.  T's rows are built
+    batch-last, and only the weighted blocks' Grams are formed.  A block's
+    log-minor is the log-determinant of its rows' Gram matrix, from
+    Gaussian elimination vectorized across the chunk (``_gram_logdet``): a
+    few numpy calls per chunk instead of one LAPACK call per draw.  A draw
+    whose block is numerically singular gets ``-inf``.
     """
     admit_disjoint(params, query)
     values, chunk_rows = _factor_rows(params, "bartlett" if params.nonsingular else "gaussian-sum")

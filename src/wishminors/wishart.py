@@ -157,9 +157,8 @@ def _factor_rows(params: WishartParams, method: str):
     """Return ``(values, chunk_rows)``: the doubles one draw's T holds, and T's builder.
 
     ``values`` is what ``check_draws`` weighs a draw by.  ``chunk_rows(rng,
-    m)`` draws m factors T and returns ``rows``: ``rows(a, b)`` builds only
-    rows ``a:b`` of T, as a sequence of batch-last arrays, row i of shape
-    (c_i, m); block ``a:b`` of X = T T^T is their ``_gram``.
+    m)`` draws m factors T and returns T's rows, batch-last, row i of shape
+    (c_i, m); block ``a:b`` of X = T T^T is the ``_gram`` of ``rows[a:b]``.
 
     ``bartlett``: T = L A with L the scale's Cholesky factor and A the
     Bartlett triangle of ``_bartlett_variates`` (Muirhead 1982, Thm 3.2.14),
@@ -169,14 +168,13 @@ def _factor_rows(params: WishartParams, method: str):
     leading entries, T being lower triangular.
     The builder owns one normals array and its batch-last copy, sized by the
     first (largest) chunk and reused by every chunk, so no chunk faults in
-    fresh pages for them.  A chunk's ``rows`` reads them, so it is valid until
-    the next ``chunk_rows`` call; the rows it returns are fresh, the caller's.
+    fresh pages for them; the rows, a list, are fresh, the caller's.
 
     ``gaussian-sum``: T = L G^T with G an alpha x p standard normal matrix
     (c_i = alpha; its values are G's alpha p normals), so T T^T sums alpha
     outer products of N(0, sigma) vectors; it needs a positive integer alpha
-    and covers the singular regime.  Its rows are slices of one GEMM,
-    ``z @ L^T``, copied once.
+    and covers the singular regime.  Its rows are one (p, alpha, m) array,
+    the GEMM ``z @ L^T`` copied once.
     """
     p = params.dim
     chol = params.sigma.chol
@@ -194,16 +192,12 @@ def _factor_rows(params: WishartParams, method: str):
             d = np.sqrt(chisq.T, order="C")
             z = z_buf[: m * k].reshape(k, m)
             z[...] = normals.T
-
-            def rows(a: int, b: int) -> list[np.ndarray]:
-                block = []
-                for i in range(a, b):
-                    t = chol[i, : i + 1, None] * d[: i + 1]
-                    for l in range(1, i + 1):  # row l's normals z_l0 ... z_l,l-1
-                        t[:l] += chol[i, l] * z[l * (l - 1) // 2 :][:l]
-                    block.append(t)
-                return block
-
+            rows = []
+            for i in range(p):
+                t = chol[i, : i + 1, None] * d[: i + 1]
+                for l in range(1, i + 1):  # row l's normals z_l0 ... z_l,l-1
+                    t[:l] += chol[i, l] * z[l * (l - 1) // 2 :][:l]
+                rows.append(t)
             return rows
 
         return p * (p + 1) // 2, chunk_rows
@@ -218,8 +212,7 @@ def _factor_rows(params: WishartParams, method: str):
         # One flat GEMM (a batched product is ~2x slower at n_terms = 1), copied once:
         # _gram's einsum runs ~1.3x faster on that than on strided views at n_terms = 8.
         z = rng.standard_normal((m * n_terms, p)) @ chol.T
-        t = z.T.reshape(p, m, n_terms).transpose(0, 2, 1).copy()
-        return lambda a, b: t[a:b]
+        return z.T.reshape(p, m, n_terms).transpose(0, 2, 1).copy()
 
     return p * n_terms, chunk_rows
 
@@ -257,7 +250,7 @@ def _sample_batch(params, method, count, seed) -> SampleBatch:
     def run(task):
         rng, start, m = task
         rows = slice(start, start + m)
-        t = chunk_rows(rng, m)(0, p)
+        t = chunk_rows(rng, m)
         g = np.array([g_rs for g_r in _gram(t) for g_rs in g_r]).T
         draws[rows, low_r, low_c] = draws[rows, low_c, low_r] = g
         if factors is not None:

@@ -213,7 +213,7 @@ class TestEstimateEmbedded:
 
         def stat(gen, m):
             rows = chunk_rows(gen, m)
-            return sum(v * _gram_logdet(rows(0, b)) for v, b in zip(nu, prefix))
+            return sum(v * _gram_logdet(rows[0:b]) for v, b in zip(nu, prefix))
 
         def exact(exponents):
             return embedded_moment_log(params, dataclasses.replace(query, nu=exponents)).log_value
@@ -556,25 +556,32 @@ class TestOneFactor:
     """The samplers and the disjoint statistic read one T from ``wishart._factor_rows``."""
 
     @pytest.mark.parametrize(
-        "alpha, sampler, sizes, n",
+        "alpha, sampler, sizes, nu, n",
         [
-            (6.0, sample_bartlett, (1, 2, 1), 1001),
-            (2.0, sample_gaussian_sum, (1, 2, 1), 1001),
-            (6.0, sample_bartlett, (1, 2, 1), 50),
-            (2.0, sample_gaussian_sum, (1, 2, 1), 50),
-            (2.0, sample_gaussian_sum, (1,), 1001),
+            (6.0, sample_bartlett, (1, 2, 1), (1.0, 0.5, 1.5), 1001),
+            (2.0, sample_gaussian_sum, (1, 2, 1), (1.0, 0.5, 1.5), 1001),
+            (6.0, sample_bartlett, (1, 2, 1), (1.0, 0.5, 1.5), 50),
+            (2.0, sample_gaussian_sum, (1, 2, 1), (1.0, 0.5, 1.5), 50),
+            (2.0, sample_gaussian_sum, (1,), (1.0,), 1001),
+            (6.0, sample_bartlett, (1, 2, 1), (1.0, 0.0, 1.5), 1001),
+            (2.0, sample_gaussian_sum, (1, 2, 1), (1.0, 0.0, 1.5), 1001),
         ],
-        ids=["bartlett", "gaussian-sum", "bartlett-n50", "gaussian-sum-n50", "gaussian-sum-1x1"],
+        ids=[
+            "bartlett", "gaussian-sum", "bartlett-n50", "gaussian-sum-n50", "gaussian-sum-1x1",
+            "bartlett-zero-exponent", "gaussian-sum-zero-exponent",
+        ],
     )
     def test_sampler_blocks_are_the_eliminated_grams(
-        self, rng, monkeypatch, alpha, sampler, sizes, n
+        self, rng, monkeypatch, alpha, sampler, sizes, nu, n
     ):
         # At alpha 2 the 4x4 shape is singular, so the statistic reads the
         # Gaussian-sum T; at alpha 6 it reads the Bartlett T.  At n = 50 every
         # chunk holds one draw.  A 1x1 scale is never singular, so there the
-        # statistic is pointed at the Gaussian-sum T.
+        # statistic is pointed at the Gaussian-sum T.  A block with a zero
+        # exponent gets no Gram, yet its rows are built with the rest, so the
+        # weighted block after it must still read its own rows of T.
         params = params_of(alpha, random_spd(rng, sum(sizes), cond=20.0))
-        query = MomentQuery(partition=BlockPartition(sizes), nu=(1.0, 0.5, 1.5)[: len(sizes)])
+        query = MomentQuery(partition=BlockPartition(sizes), nu=nu)
         grams = []
 
         def recording_gram(rows):
@@ -591,9 +598,10 @@ class TestOneFactor:
         estimate_disjoint(params, query, n, 29)
         draws = sampler(params, n, 29).draws
         prefix = query.partition.prefix
-        assert len(grams) == len(sizes) * min(n, 64)
-        for k, (a, b) in enumerate(zip(prefix, prefix[1:])):
-            chunks = grams[k :: len(sizes)]  # chunks run in order
+        weighted = [(a, b) for a, b, nu_k in zip(prefix, prefix[1:], nu) if nu_k != 0.0]
+        assert len(grams) == len(weighted) * min(n, 64)
+        for k, (a, b) in enumerate(weighted):
+            chunks = grams[k :: len(weighted)]  # chunks run in order
             for r in range(b - a):
                 for s in range(r + 1):
                     got = np.concatenate([g[r][s] for g in chunks])

@@ -218,7 +218,7 @@ class TestBartlettFactor:
         gen, ref, twin = (np.random.default_rng(17) for _ in range(3))
         returned = []
         for m in (9, 4, 12, 4):
-            rows = chunk_rows(gen, m)(0, p)
+            rows = chunk_rows(gen, m)
             t = reference(ref, m)
             fresh = recurrence_rows(chol, *_bartlett_variates(twin, dofs, m))
             assert repr(gen.bit_generator.state) == repr(ref.bit_generator.state)
