@@ -111,7 +111,9 @@ def estimate_log_statistic(stat_fn, n: int, seed: int) -> McEstimate:
     order under a running-max shift, so the result depends only on
     ``(n, seed)`` and never overflows on the way to the final mean.  The
     standard error needs an integer ``n >= 2`` (``2.0`` is refused), which
-    ``errors.check_int`` checks before any draw.
+    ``errors.check_int`` checks before any draw.  Every ``stat_fn`` call runs
+    in the package's one floating-point scope: a log of 0 (a singular block,
+    a boost uniform of 0) weighs 0 and an overflow is refused, unwarned.
     """
     n = check_int(n, "sample count", 2)
 
@@ -130,8 +132,7 @@ def estimate_log_statistic(stat_fn, n: int, seed: int) -> McEstimate:
         log_mean = top + math.log(float(np.exp(s - top).sum())) - math.log(m)
         return log_mean, m, top
 
-    # A draw past double range is refused below or weighs 0: numpy need not warn too.
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         log_means, sizes, tops = zip(*map_chunks(run, n, seed))
     chunk_log_means = np.array(log_means)
     n_chunks = len(sizes)
@@ -188,7 +189,6 @@ def estimate_embedded(
     return estimate_log_statistic(_embedded_stat_factory(params, query), n, seed)
 
 
-@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _gram_logdet(rows: list[np.ndarray] | np.ndarray) -> np.ndarray:
     """log det(R Rᵀ) per draw for the block R whose rows are ``rows``.
 
@@ -196,7 +196,7 @@ def _gram_logdet(rows: list[np.ndarray] | np.ndarray) -> np.ndarray:
     without pivoting (the Gram is positive definite) runs on its lower
     triangle, one vector step per entry across the whole batch.  For finite
     rows, a pivot that is not positive, or NaN, marks a numerically singular
-    block, which gets -inf; the errstate keeps those steps from warning.
+    block, which gets -inf; ``estimate_log_statistic``'s scope keeps those steps from warning.
     """
     g = _gram(rows)
     logdet = np.log(g[0][0])
@@ -261,17 +261,20 @@ def compare(exact_log: float, mc: McEstimate) -> ComparisonReport:
     z = (mc.mean - exp(exact_log)) / mc.stderr, evaluated as
     expm1(mean_log - exact_log) / (stderr/mean) so it stays finite even
     when the moment itself overflows double range.  ``exact_log`` must be
-    a finite real (``errors.check_real``), else DomainError.
+    a finite real (``errors.check_real``), else DomainError.  An estimate
+    more than e^709.78 times its exact value is DegenerateEstimate.
     """
     check_int(mc.n, "the sample count to compare", 2)
     exact_log = check_real(exact_log, "the exact log moment")
+    gap = mc.mean_log - exact_log
+    try:
+        rel_gap = math.expm1(gap)
+    except OverflowError:
+        raise DegenerateEstimate(f"estimate at log gap {gap:.6g} from the exact value") from None
     if mc.stderr_log == -math.inf:
-        rel_gap = abs(math.expm1(mc.mean_log - exact_log))
-        if not rel_gap <= _CONST_REL_TOL:
+        if not abs(rel_gap) <= _CONST_REL_TOL:
             raise DegenerateEstimate(
-                f"constant statistic at relative gap {rel_gap:.3e} from the exact value"
+                f"constant statistic at relative gap {abs(rel_gap):.3e} from the exact value"
             )
-        z = 0.0
-    else:
-        z = math.expm1(mc.mean_log - exact_log) / mc.rel_stderr
-    return ComparisonReport(z=z)
+        return ComparisonReport(z=0.0)
+    return ComparisonReport(z=rel_gap / mc.rel_stderr)

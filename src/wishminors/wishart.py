@@ -5,8 +5,8 @@ T and builds its rows, and ``_gram`` their Gram, for the batch samplers,
 the CLI's chunk-by-chunk writer and the disjoint-minor statistic alike.
 ``_bartlett_variates`` holds the Bartlett stream order.  The chunk count
 lives here alone: ``map_chunks`` splits a run by it, and ``check_draws``
-refuses, before any draw, a count whose largest chunk numpy cannot address
-or the allocator cannot grant.
+refuses, before any draw, a count whose largest chunk one reservation
+cannot hold: numpy cannot address it or the allocator cannot grant it.
 
 A p x p Wishart with shape ``alpha`` and scale ``sigma`` is supported on
 positive definite matrices when ``alpha > p - 1`` (the nonsingular
@@ -36,8 +36,6 @@ __all__ = [
 # A fixed chunk count keeps the batch-means error valid and makes the chunk
 # layout, and with it every draw, a function of (n, seed) alone.
 _CHUNKS = 64
-# Doubles in the largest array numpy can address, np.iinfo(np.intp).max bytes.
-_MAX_DOUBLES = int(np.iinfo(np.intp).max) // 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,23 +108,20 @@ def check_draws(n, what: str, low: int, per_draw: int, chunks: int = _CHUNKS) ->
     chunks) draws at once.  Past ``np.iinfo(np.intp).max`` bytes numpy
     raises a bare ValueError mid-run, and past what the allocator grants it
     raises MemoryError there.  So every caller checks its count before any
-    draw: the arithmetic bound first, then one reservation of the largest
-    chunk's doubles, never written, so it touches no page.
+    draw, by one reservation of the largest chunk's doubles, never written,
+    so it touches no page; it raises one of the two for every such count.
     """
     n = check_int(n, what, low)
-    high = chunks * (_MAX_DOUBLES // per_draw) + 1
-    if n >= high:
-        raise DomainError(
-            f"{what} must be an integer in [{low}, {high}) so that the draws held "
-            f"at once fit one numpy array, got {n}"
-        )
     held = -(-n // chunks)
     try:
         np.empty(held * per_draw)
-    except MemoryError:
+    except (ValueError, MemoryError):
+        from decimal import Decimal  # here: only a refusal needs it, not every start-up
+        size = held * per_draw * 8  # 19 digits hold any size numpy can address
+        shown = size if size < 10**19 else f"{Decimal(size):.3e}"
         raise DomainError(
             f"{what} must be an integer whose {held} draws held at once "
-            f"({held * per_draw * 8} bytes) fit in memory, got {n}"
+            f"({shown} bytes) fit in memory, got {n}"
         ) from None
     return n
 

@@ -751,6 +751,8 @@ class TestOutOfRangeInputs:
                          id="verify-disjoint-samples-10**20"),
             pytest.param(["gpi", "--kind", "wishart", "--dims", "1", "--alpha-range", "2:3",
                           "--trials", "1", "--samples", str(10**20)], id="gpi-samples-10**20"),
+            pytest.param(["sample", "--method", "gaussian-sum", "--alpha", "1e300",
+                          "--count", "1"], id="sample-gaussian-sum-alpha-1e300"),
             # Counts whose largest chunk, past 2**47 bytes, no allocator can grant.
             pytest.param(["verify", "--alpha", "3", "--partition", "1,1", "--nu", "1,1",
                           "--mode", "embedded", "--samples", str(10**17)],
@@ -775,6 +777,8 @@ class TestOutOfRangeInputs:
         assert "Traceback" not in proc.stderr
         if argv[0] == "verify" and "1e308,1e308" in argv:  # the exact value's cause
             assert "overflows double range" in lines[0]
+        if "1e300" in argv:  # its byte count, past 300 digits, prints compactly
+            assert len(lines[0]) < 200, lines[0]
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
     @pytest.mark.parametrize(

@@ -44,6 +44,11 @@ def params_of(alpha, sigma):
     return WishartParams(alpha=alpha, sigma=SpdMatrix.from_array(sigma))
 
 
+def estimate_scope():
+    """The floating-point scope ``estimate_log_statistic`` holds around every statistic call."""
+    return np.errstate(divide="ignore", over="ignore", invalid="ignore")
+
+
 def make_estimate(**kw):
     base = dict(n=1000, mean_log=0.0, stderr_log=math.log(0.1), max_log=1.0)
     base.update(kw)
@@ -408,10 +413,16 @@ class TestGramLogdet:
         rows[0] = rng.standard_normal((4, 6))  # one regular block in the batch
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _gram_logdet(batch_last(rows))
+            with estimate_scope():
+                got = _gram_logdet(batch_last(rows))
+            # The estimate's own scope keeps the singular blocks from warning.
+            est = estimate_log_statistic(
+                lambda r, m: _gram_logdet(batch_last(rows[:m])), 100, seed=1
+            )
         assert not np.any(np.isnan(got))
         assert np.isfinite(got[0])
         assert np.all(got[1:] == -np.inf)
+        assert math.isfinite(est.mean_log)
 
     def test_estimate_makes_no_slogdet_call(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -483,7 +494,8 @@ class TestUnitBartlettKernel:
         m = 1563
         got_rng = np.random.Generator(np.random.Philox(61))
         _, chunk_rows = _factor_rows(params, "bartlett")
-        got = wishminors.montecarlo._disjoint_stat(query, chunk_rows)(got_rng, m)
+        with estimate_scope():
+            got = wishminors.montecarlo._disjoint_stat(query, chunk_rows)(got_rng, m)
         want_rng = np.random.Generator(np.random.Philox(61))
         want, cond = self.matmul_reference(params, sizes, nu, want_rng, m)
         assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state)
@@ -636,6 +648,13 @@ class TestCompare:
     def test_constant_statistic_nan_gap_degenerate(self):
         with pytest.raises(DegenerateEstimate):
             compare(0.0, make_estimate(mean_log=math.nan, stderr_log=-math.inf))
+
+    @pytest.mark.parametrize("stderr_log", [-1.0, -math.inf], ids=["spread", "constant"])
+    def test_gap_past_double_range_degenerate(self, stderr_log):
+        # expm1 of the log gap overflows past e^709.78.
+        est = McEstimate(n=100, mean_log=0.0, stderr_log=stderr_log, max_log=0.5)
+        with pytest.raises(DegenerateEstimate, match="log gap 710"):
+            compare(-710.0, est)
 
     def test_needs_two_samples(self):
         with pytest.raises(DomainError):
