@@ -44,7 +44,7 @@ from .montecarlo import (
 )
 from .specfun import log_multigamma_ratio  # noqa: F401 - bench/spans.py wraps it
 from .streams import check_seed
-from .wishart import WishartParams, _factor_rows, _gram, check_draws, map_chunks
+from .wishart import WishartParams, _factor_rows, _upper, check_draws, map_chunks
 from .wishart import sample_bartlett, sample_gaussian_sum  # noqa: F401 - bench/spans.py wraps it
 
 EXIT_OK = 0
@@ -253,15 +253,12 @@ def cmd_sample(args) -> int:
     per_draw, chunk_rows = _factor_rows(params, args.method)
     count = check_draws(args.count, "draw count", 0, per_draw)
     p = params.dim
-    # X[r, c] with r <= c is _gram's g[c][r], in row-major upper-triangle order.
-    pairs = [(r, c) for r in range(p) for c in range(r, p)]
-    tails = [f",{r},{c}," for r, c in pairs]
+    tails = [f",{r},{c}," for r in range(p) for c in range(r, p)]  # _upper's order
 
     def write_chunk(task) -> int:
         # ``tolist`` yields Python floats, whose ``repr`` is ``fmt_float``.
         rng, start, m = task
-        g = _gram(chunk_rows(rng, m))
-        upper = np.array([g[c][r] for r, c in pairs]).T
+        upper = _upper(chunk_rows(rng, m))
         fh.writelines(
             "".join([f"{t}{tail}{v!r}\n" for tail, v in zip(tails, values.tolist())])
             for t, values in enumerate(upper, start)

@@ -49,7 +49,7 @@ class NonIntegerAlpha(WishminorsError):
 
 
 class NotBlockDiagonal(WishminorsError):
-    """The scale matrix has off-diagonal coupling between the given blocks."""
+    """The scale matrix couples blocks with a nonzero exponent."""
 
 
 class DegenerateEstimate(WishminorsError):

@@ -14,8 +14,9 @@ computation here stays in log space.
 Joint moments of *disjoint* diagonal-block minors have no closed form in
 general.  ``disjoint_moment_log`` is the one function that gives a
 disjoint query its exact value, for ``exact`` and ``verify`` alike; today
-that value exists only when the scale is block diagonal, in which case
-the blocks are independent Wisharts with the full shape alpha.
+that value exists only when the scale couples no two blocks with nonzero
+exponents, in which case those blocks are independent Wisharts with the
+full shape alpha.
 """
 from __future__ import annotations
 
@@ -180,25 +181,31 @@ def disjoint_moment_log(params: WishartParams, query: MomentQuery) -> ExactMomen
     """Exact joint moment of disjoint diagonal-block minors, in log space.
 
     The one place that decides which exact value a disjoint query gets;
-    later exact disjoint values go in this body.  Today that is the
-    block-diagonal scale only: the diagonal blocks of X are then
-    independent Wishart(alpha, sigma_ii) matrices, so the joint moment is
-    ``block_moments_log``, each block with the *full* shape alpha.  A scale
-    with off-block coupling makes this an open problem, and the function
-    refuses rather than approximate; the shape is admitted first, so a
-    refusal of it reads as it does for the estimate.
+    later exact disjoint values go in this body.  Today that is a scale
+    with no coupling between the blocks with a nonzero exponent: a block
+    with a zero exponent contributes a factor of exactly 1, and the weighted
+    blocks' principal submatrix of X is Wishart(alpha, sigma_WW), whose
+    uncoupled diagonal blocks are independent Wishart(alpha, sigma_kk)
+    matrices.  So the joint moment is ``block_moments_log``, each block with
+    the *full* shape alpha.  Coupling between weighted blocks makes this an
+    open problem, and the function refuses rather than approximate; the
+    shape is admitted first, so a refusal of it reads as it does for the
+    estimate.
 
     Raises
     ------
     NotBlockDiagonal
-        If any off-block entry exceeds 1e-12 times the largest diagonal
-        entry; the message pinpoints the worst offender.
+        If any entry coupling two blocks with nonzero exponents exceeds
+        1e-12 times the largest diagonal entry of the whole scale; the
+        message pinpoints the worst offender.
     """
     exact = block_moments_log(params, query)
     sigma, prefix = params.sigma.entries, query.partition.prefix
     off = np.abs(sigma)
-    for a, b in zip(prefix, prefix[1:]):
+    for a, b, nu_k in zip(prefix, prefix[1:], query.nu):
         off[a:b, a:b] = 0.0
+        if nu_k == 0.0:  # a factor of exactly 1, whatever couples it
+            off[a:b] = off[:, a:b] = 0.0
     r, c = (int(i) for i in np.unravel_index(np.argmax(off), off.shape))
     worst = float(off[r, c])
     tol = _BLOCK_DIAG_TOL * float(np.max(np.diag(sigma)))

@@ -1,11 +1,11 @@
-"""Monte Carlo estimation of minor-product moments with batch-means errors.
+"""Monte Carlo estimates of minor-product moments with batch-means errors, and their scores.
 
-Per-sample statistics live in log space (s = sum of nu-weighted minor
-log-determinants); the estimator reduces each chunk with a log-sum-exp,
-merges chunks under a global shift, and takes the standard error across
-chunk means.  With 64 chunks (fewer only below 64 draws) this is robust
-to the heavy right tail of exp(s) where a naive per-sample variance
-badly undercovers.
+``wishart`` builds the per-sample statistics, in log space (s = sum of
+nu-weighted minor log-determinants); this module estimates and scores them.
+The estimator reduces each chunk with a log-sum-exp, merges chunks under a
+global shift, and takes the standard error across chunk means.  With 64
+chunks (fewer only below 64 draws) this is robust to the heavy right tail
+of exp(s) where a naive per-sample variance badly undercovers.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DegenerateEstimate, DimensionMismatch, check_int, check_real
 from .moments import MomentQuery, admit_disjoint, admit_embedded
 from .streams import chunk_sizes, map_ordered, substreams  # noqa: F401 - bench/spans.py wraps them
-from .wishart import WishartParams, _bartlett_dofs, _factor_rows, _gram, check_draws, map_chunks
+from .wishart import WishartParams, _disjoint_stat, _embedded_stat, check_draws, map_chunks
 
 __all__ = [
     "McEstimate",
@@ -152,107 +152,28 @@ def estimate_log_statistic(stat_fn, n: int, seed: int) -> McEstimate:
     return McEstimate(n=n, mean_log=mean_log, stderr_log=stderr_log, max_log=max_log)
 
 
-def _embedded_stat_factory(params: WishartParams, query: MomentQuery):
-    p = params.dim
-    dofs = _bartlett_dofs(params.alpha, p)
-    scale_chol = params.sigma.chol
-    # Coordinate j sits in block k, so it appears in every leading minor
-    # from block k on: its weight is the suffix sum V_{k+1} (0-based k).
-    weights = np.repeat(query.suffix, query.partition.sizes)
-    base = float(np.dot(weights, 2.0 * np.log(np.diag(scale_chol))))
-    # Gamma shapes below 1 (dof < 2) underflow to 0 near alpha = p - 1, so
-    # those columns use the boost log G(a) = log G(a + 1) + log(U) / a
-    # (Marsaglia & Tsang 2000): log chi2(k) = log chi2(k + 2) + 2 log(U) / k.
-    small = np.flatnonzero(dofs < 2.0)
-    draw_dofs = np.where(dofs < 2.0, dofs + 2.0, dofs)
-    boost = 2.0 / dofs[small]
-
-    def stat(rng: np.random.Generator, m: int) -> np.ndarray:
-        log_chisq = np.log(rng.chisquare(draw_dofs, size=(m, p)))
-        log_chisq[:, small] += np.log(rng.random((m, small.size))) * boost
-        return log_chisq @ weights + base
-
-    return stat
-
-
 def estimate_embedded(
     params: WishartParams, query: MomentQuery, n: int, seed: int
 ) -> McEstimate:
-    """Estimate the joint moment of nested leading-block minors.
-
-    Uses the triangular-factor representation: the leading minor at P_i
-    is the product of the first P_i squared diagonal entries of T = L A,
-    so a draw needs only the p Bartlett chi-squares, taken in log space.
-    """
+    """Estimate the joint moment of nested leading-block minors by ``wishart._embedded_stat``."""
     admit_embedded(params, query)
-    n = check_draws(n, "sample count", 2, params.dim)  # p chi-squares a draw
-    return estimate_log_statistic(_embedded_stat_factory(params, query), n, seed)
-
-
-def _gram_logdet(rows: list[np.ndarray] | np.ndarray) -> np.ndarray:
-    """log det(R Rᵀ) per draw for the block R whose rows are ``rows``.
-
-    The rows are batch-last, as ``_gram`` takes them.  Gaussian elimination
-    without pivoting (the Gram is positive definite) runs on its lower
-    triangle, one vector step per entry across the whole batch.  For finite
-    rows, a pivot that is not positive, or NaN, marks a numerically singular
-    block, which gets -inf; ``estimate_log_statistic``'s scope keeps those steps from warning.
-    """
-    g = _gram(rows)
-    logdet = np.log(g[0][0])
-    for j in range(1, len(g)):
-        for r in range(j, len(g)):
-            ratio = g[r][j - 1] / g[j - 1][j - 1]
-            for s in range(j, r + 1):
-                g[r][s] -= ratio * g[s][j - 1]
-        logdet += np.log(g[j][j])
-    # The first pivot is a sum of squares, whose log is -inf at zero.  A later
-    # pivot can come out negative or NaN, whose log is NaN: fmax turns that
-    # into -inf.  A 1x1 block has no later pivot, so it skips the call: one
-    # numpy call less per unit block, in every chunk of every gpi trial.
-    return np.fmax(logdet, -np.inf, out=logdet) if len(g) > 1 else logdet
-
-
-def _disjoint_stat(query: MomentQuery, chunk_rows):
-    """Return ``stat(rng, m)``: per draw, the nu-weighted sum of block log-minors.
-
-    Block k of X = T T^T is the Gram matrix of T's rows ``a:b``, so every
-    weighted block's log-minor is ``_gram_logdet(rows[a:b])`` of the rows
-    ``chunk_rows`` (from ``wishart._factor_rows``) returns for the chunk.
-    """
-    prefix = query.partition.prefix
-    spans = [(a, b, nu_k) for a, b, nu_k in zip(prefix, prefix[1:], query.nu) if nu_k != 0.0]
-
-    def stat(rng: np.random.Generator, m: int) -> np.ndarray:
-        rows = chunk_rows(rng, m)
-        s = np.zeros(m)
-        for a, b, nu_k in spans:
-            s += nu_k * _gram_logdet(rows[a:b])
-        return s
-
-    return stat
+    # Coordinate j sits in block k, so it appears in every leading minor
+    # from block k on: its weight is the suffix sum V_{k+1} (0-based k).
+    p, stat = _embedded_stat(params, np.repeat(query.suffix, query.partition.sizes))
+    n = check_draws(n, "sample count", 2, p)
+    return estimate_log_statistic(stat, n, seed)
 
 
 def estimate_disjoint(
     params: WishartParams, query: MomentQuery, n: int, seed: int
 ) -> McEstimate:
-    """Estimate the joint moment of disjoint diagonal-block minors.
-
-    Each draw is X = T T^T with T the Bartlett factor (nonsingular shapes)
-    or the Gaussian-sum factor (singular integer shapes), from
-    ``wishart._factor_rows``: at the same ``(n, seed)`` it is the T of
-    ``sample_bartlett`` or ``sample_gaussian_sum``, and each block's Gram
-    equals the samplers' diagonal block bit for bit.  T's rows are built
-    batch-last, and only the weighted blocks' Grams are formed.  A block's
-    log-minor is the log-determinant of its rows' Gram matrix, from
-    Gaussian elimination vectorized across the chunk (``_gram_logdet``): a
-    few numpy calls per chunk instead of one LAPACK call per draw.  A draw
-    whose block is numerically singular gets ``-inf``.
-    """
+    """Estimate the joint moment of disjoint diagonal-block minors by ``wishart._disjoint_stat``."""
     admit_disjoint(params, query)
-    values, chunk_rows = _factor_rows(params, "bartlett" if params.nonsingular else "gaussian-sum")
+    prefix = query.partition.prefix
+    blocks = [(a, b, nu_k) for a, b, nu_k in zip(prefix, prefix[1:], query.nu) if nu_k != 0.0]
+    values, stat = _disjoint_stat(params, blocks)
     n = check_draws(n, "sample count", 2, values)
-    return estimate_log_statistic(_disjoint_stat(query, chunk_rows), n, seed)
+    return estimate_log_statistic(stat, n, seed)
 
 
 def compare(exact_log: float, mc: McEstimate) -> ComparisonReport:
@@ -262,7 +183,8 @@ def compare(exact_log: float, mc: McEstimate) -> ComparisonReport:
     expm1(mean_log - exact_log) / (stderr/mean) so it stays finite even
     when the moment itself overflows double range.  ``exact_log`` must be
     a finite real (``errors.check_real``), else DomainError.  An estimate
-    more than e^709.78 times its exact value is DegenerateEstimate.
+    more than e^709.78 times its exact value is DegenerateEstimate, and so
+    is one whose relative standard error leaves z no finite value.
     """
     check_int(mc.n, "the sample count to compare", 2)
     exact_log = check_real(exact_log, "the exact log moment")
@@ -277,4 +199,11 @@ def compare(exact_log: float, mc: McEstimate) -> ComparisonReport:
                 f"constant statistic at relative gap {abs(rel_gap):.3e} from the exact value"
             )
         return ComparisonReport(z=0.0)
-    return ComparisonReport(z=rel_gap / mc.rel_stderr)
+    try:
+        z = rel_gap / mc.rel_stderr
+    except (OverflowError, ZeroDivisionError):  # rel_stderr past double range, or 0
+        z = math.inf
+    if not math.isfinite(z):
+        rel_log = mc.stderr_log - mc.mean_log
+        raise DegenerateEstimate(f"estimate at log relative standard error {rel_log:.6g}: no finite z")
+    return ComparisonReport(z=z)

@@ -1,8 +1,10 @@
-"""Wishart parameters, samplers, and the one chunked-sampling driver.
+"""Wishart parameters, samplers, both Monte Carlo statistics and the chunked-sampling driver.
 
-Both sampling methods write a draw as X = T T^T.  ``_factor_rows`` sizes
-T and builds its rows, and ``_gram`` their Gram, for the batch samplers,
-the CLI's chunk-by-chunk writer and the disjoint-minor statistic alike.
+Both sampling methods write a draw as X = T T^T, and this module alone knows
+what a draw holds.  ``_factor_rows`` builds T's rows, ``_gram`` their Gram,
+and ``_upper`` X's upper triangle, for the samplers and the CLI's writer.
+The statistics ``montecarlo`` estimates are built here: ``_embedded_stat``
+from the Bartlett chi-squares, ``_disjoint_stat`` from each block's Gram.
 ``_bartlett_variates`` holds the Bartlett stream order.  The chunk count
 lives here alone: ``map_chunks`` splits a run by it, and ``check_draws``
 refuses, before any draw, a count whose largest chunk one reservation
@@ -224,10 +226,90 @@ def _gram(rows: list[np.ndarray] | np.ndarray) -> list[list[np.ndarray]]:
     ]
 
 
+def _upper(rows: list[np.ndarray] | np.ndarray) -> np.ndarray:
+    """(m, p(p+1)/2): X = R R^T's ``X[r, c] = _gram(rows)[c][r]``, r <= c, row-major."""
+    g = _gram(rows)
+    return np.array([g[c][r] for r in range(len(g)) for c in range(r, len(g))]).T
+
+
+def _embedded_stat(params: WishartParams, weights: np.ndarray):
+    """Return ``(p, stat)``: ``stat(rng, m)`` draws m values of ``sum_j weights[j] log T_jj^2``.
+
+    A leading minor of X = T T^T, T = L A, is the product of T's leading
+    squared diagonal entries, so a draw takes only the p Bartlett chi-squares.
+    """
+    p = params.dim
+    dofs = _bartlett_dofs(params.alpha, p)
+    base = float(np.dot(weights, 2.0 * np.log(np.diag(params.sigma.chol))))
+    # Gamma shapes below 1 (dof < 2) underflow to 0 near alpha = p - 1, so
+    # those columns use the boost log G(a) = log G(a + 1) + log(U) / a
+    # (Marsaglia & Tsang 2000): log chi2(k) = log chi2(k + 2) + 2 log(U) / k.
+    small = np.flatnonzero(dofs < 2.0)
+    draw_dofs = np.where(dofs < 2.0, dofs + 2.0, dofs)
+    boost = 2.0 / dofs[small]
+
+    def stat(rng: np.random.Generator, m: int) -> np.ndarray:
+        log_chisq = np.log(rng.chisquare(draw_dofs, size=(m, p)))
+        log_chisq[:, small] += np.log(rng.random((m, small.size))) * boost
+        return log_chisq @ weights + base
+
+    return p, stat
+
+
+def _gram_logdet(rows: list[np.ndarray] | np.ndarray) -> np.ndarray:
+    """log det(R Rᵀ) per draw for the block R whose rows are ``rows``.
+
+    The rows are batch-last, as ``_gram`` takes them.  Gaussian elimination
+    without pivoting (the Gram is positive definite) runs on its lower
+    triangle, one vector step per entry across the whole batch.  For finite
+    rows, a pivot that is not positive, or NaN, marks a numerically singular
+    block, which gets -inf; ``estimate_log_statistic``'s scope keeps those steps from warning.
+    """
+    g = _gram(rows)
+    logdet = np.log(g[0][0])
+    for j in range(1, len(g)):
+        for r in range(j, len(g)):
+            ratio = g[r][j - 1] / g[j - 1][j - 1]
+            for s in range(j, r + 1):
+                g[r][s] -= ratio * g[s][j - 1]
+        logdet += np.log(g[j][j])
+    # The first pivot is a sum of squares, whose log is -inf at zero.  A later
+    # pivot can come out negative or NaN, whose log is NaN: fmax turns that
+    # into -inf.  A 1x1 block has no later pivot, so it skips the call: one
+    # numpy call less per unit block, in every chunk of every gpi trial.
+    return np.fmax(logdet, -np.inf, out=logdet) if len(g) > 1 else logdet
+
+
+def _disjoint_stat(params: WishartParams, blocks):
+    """Return ``(values, stat)``: T's doubles per draw, and ``stat(rng, m)``.
+
+    ``stat`` draws m values of ``sum_k nu_k log det X[a:b, a:b]`` over
+    ``blocks = [(a, b, nu_k)]``.  X = T T^T with T the Bartlett factor
+    (nonsingular shapes) or the Gaussian-sum factor (singular integer
+    shapes), from ``_factor_rows``: at the same ``(n, seed)`` it is the T of
+    ``sample_bartlett`` or ``sample_gaussian_sum``, and each block's Gram
+    equals the samplers' diagonal block bit for bit.  T's rows are built
+    batch-last, and only the listed blocks' Grams are formed.  A block's
+    log-minor is ``_gram_logdet`` of its rows: a few numpy calls per chunk
+    instead of one LAPACK call per draw.  A draw whose block is numerically
+    singular gets ``-inf``.
+    """
+    values, chunk_rows = _factor_rows(params, "bartlett" if params.nonsingular else "gaussian-sum")
+
+    def stat(rng: np.random.Generator, m: int) -> np.ndarray:
+        rows = chunk_rows(rng, m)
+        s = np.zeros(m)
+        for a, b, nu_k in blocks:
+            s += nu_k * _gram_logdet(rows[a:b])
+        return s
+
+    return values, stat
+
+
 def _sample_batch(params, method, count, seed) -> SampleBatch:
     """Draw ``count`` matrices X = T T^T from ``_factor_rows(params, method)`` as a batch.
 
-    Each chunk writes its draws, the mirrored ``_gram`` of all of T's rows
+    Each chunk writes its draws, the mirrored ``_upper`` of all of T's rows
     (exactly symmetric, with no BLAS call per draw), and for the bartlett
     method T's rows into the lower triangle of the zero factors, straight
     into its own rows of the two preallocated arrays.
@@ -239,15 +321,14 @@ def _sample_batch(params, method, count, seed) -> SampleBatch:
     shape = (count, p, p)
     draws = np.empty(shape)
     factors = np.zeros(shape) if method == "bartlett" else None
-    # Row-major, the order of _gram's lower triangle and of each row's entries.
-    low_r, low_c = np.tril_indices(p)
+    up_r, up_c = np.triu_indices(p)  # _upper's order
+    low_r, low_c = np.tril_indices(p)  # T's own: each row's entries, row after row
 
     def run(task):
         rng, start, m = task
         rows = slice(start, start + m)
         t = chunk_rows(rng, m)
-        g = np.array([g_rs for g_r in _gram(t) for g_rs in g_r]).T
-        draws[rows, low_r, low_c] = draws[rows, low_c, low_r] = g
+        draws[rows, up_r, up_c] = draws[rows, up_c, up_r] = _upper(t)
         if factors is not None:
             factors[rows, low_r, low_c] = np.concatenate(t).T
 

@@ -128,6 +128,15 @@ class TestExact:
         total = sum(f["det_term"] + f["gamma_term"] for f in rec["factors"])
         assert total == rec["log_value"]
 
+    def test_disjoint_blockdiag_zero_exponent_block_may_be_coupled(self, tmp_path, capsys):
+        path = sigma_file(tmp_path, [[1.0, 0.5], [0.5, 1.0]])
+        code, out, _ = run(
+            capsys, "exact", "--alpha", "3", "--sigma", path,
+            "--partition", "1,1", "--nu", "1,0", "--disjoint-blockdiag",
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["value_or_inf"] == pytest.approx(3.0, rel=1e-12)  # E X_11
+
     def test_singular_alpha_exits_domain(self, tmp_path, capsys):
         path = sigma_file(tmp_path, np.eye(2))
         code, _, err = run(
@@ -219,6 +228,19 @@ class TestVerify:
         assert "note" in rec and "block diagonal" in rec["note"]
         # Wick: E(X11 X22) = alpha^2 + 2 alpha rho^2 = 5 here
         assert rec["mean"] == pytest.approx(5.0, abs=5 * rec["stderr"])
+
+    def test_disjoint_zero_exponents_on_coupled_scale_are_exact(self, tmp_path, capsys):
+        # Zero exponents make the moment exactly 1, whatever couples the blocks.
+        path = sigma_file(tmp_path, [[1.0, 0.5], [0.5, 1.0]])
+        code, out, _ = run(
+            capsys, "verify", "--alpha", "3", "--sigma", path,
+            "--partition", "1,1", "--nu", "0,0", "--mode", "disjoint",
+            "--samples", "1000",
+        )
+        assert code == EXIT_OK
+        rec = strict_json(out)
+        assert rec["exact_log"] == 0.0 and rec["z"] == 0.0
+        assert rec["verdict"] == "consistent" and "note" not in rec
 
     @pytest.mark.parametrize("mode", ["embedded", "disjoint"])
     @pytest.mark.parametrize(

@@ -237,6 +237,29 @@ class TestDisjointOracle:
         assert got.factors == want.factors  # MomentFactor equality is field for field
         assert got.log_value == want.log_value
 
+    def test_zero_exponent_block_may_be_coupled(self):
+        # A block with exponent 0 is a factor of exactly 1, so its coupling
+        # does not matter: the value is block 1's marginal moment.
+        sigma = spd([[1.0, 0.5], [0.5, 1.0]])
+        q = MomentQuery(partition=BlockPartition((1, 1)), nu=(1.0, 0.0))
+        got = disjoint_moment_log(params(3.0, sigma), q)
+        assert got == block_moments_log(params(3.0, sigma), q)
+        assert math.exp(got.log_value) == pytest.approx(3.0, rel=1e-12)  # E X_11 = alpha
+
+    @pytest.mark.parametrize("s13", [0.0, 0.3], ids=["uncoupled", "coupled"])
+    def test_only_weighted_blocks_are_checked(self, s13):
+        # Blocks 1 and 3 carry the exponents and block 2 is coupled to both;
+        # blocks 1 and 3 are independent exactly when sigma_13 = 0.
+        sigma = spd([[2.0, 0.5, s13], [0.5, 1.0, 0.4], [s13, 0.4, 1.5]])
+        q = MomentQuery(partition=BlockPartition((1, 1, 1)), nu=(1.0, 0.0, 1.0))
+        if s13 == 0.0:
+            got = disjoint_moment_log(params(4.0, sigma), q)
+            assert got == block_moments_log(params(4.0, sigma), q)
+            return
+        with pytest.raises(NotBlockDiagonal) as err:
+            disjoint_moment_log(params(4.0, sigma), q)
+        assert "0, 2" in str(err.value) or "2, 0" in str(err.value)
+
     def test_coupled_scale_refused_alike(self, rng):
         p = params(5.5, spd(random_spd(rng, 3, cond=20.0)))
         q = MomentQuery(partition=BlockPartition((1, 2)), nu=(1.5, 0.5))

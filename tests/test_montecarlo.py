@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from scipy.linalg import block_diag
 
 import wishminors.montecarlo
+import wishminors.wishart
 from wishminors import (
     BlockPartition,
     DegenerateEstimate,
@@ -34,9 +35,9 @@ from wishminors import (
     sample_gaussian_sum,
 )
 from wishminors.gpi import WishartGpiInstance
-from wishminors.montecarlo import _embedded_stat_factory, _gram_logdet, _verdict_for
+from wishminors.montecarlo import _verdict_for
 from wishminors.streams import chunk_sizes, substreams
-from wishminors.wishart import _factor_rows, _gram
+from wishminors.wishart import _disjoint_stat, _embedded_stat, _factor_rows, _gram, _gram_logdet
 from conftest import random_spd, reference_factor
 
 
@@ -236,7 +237,7 @@ class TestEstimateEmbedded:
         sigma = np.diag([1.0, 2.0, 3.0, 4.0])
         pr = params_of(alpha, sigma)
         q = MomentQuery(partition=BlockPartition((1, 3)), nu=(0.5, 1.0))
-        stat = _embedded_stat_factory(pr, q)
+        _, stat = _embedded_stat(pr, np.repeat(q.suffix, q.partition.sizes))
         m = 257
         rng = np.random.Generator(np.random.Philox(11))
         got = stat(rng, m)
@@ -493,9 +494,9 @@ class TestUnitBartlettKernel:
         query = MomentQuery(partition=BlockPartition(sizes), nu=nu)
         m = 1563
         got_rng = np.random.Generator(np.random.Philox(61))
-        _, chunk_rows = _factor_rows(params, "bartlett")
+        _, stat = _disjoint_stat(params, weighted_blocks(query))
         with estimate_scope():
-            got = wishminors.montecarlo._disjoint_stat(query, chunk_rows)(got_rng, m)
+            got = stat(got_rng, m)
         want_rng = np.random.Generator(np.random.Philox(61))
         want, cond = self.matmul_reference(params, sizes, nu, want_rng, m)
         assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state)
@@ -510,22 +511,26 @@ class TestUnitBartlettKernel:
         assert np.all(rel <= 1e-14 * cond[finite] + rtol)
 
 
-def per_block_disjoint_stat(params, query):
-    """The disjoint statistic from the factor T and one slogdet per weighted block."""
+def weighted_blocks(query):
+    """``(a, b, nu_k)`` per block with a nonzero exponent, as ``estimate_disjoint`` lists them."""
+    prefix = query.partition.prefix
+    return [(a, b, nu_k) for a, b, nu_k in zip(prefix, prefix[1:], query.nu) if nu_k != 0.0]
+
+
+def per_block_disjoint_stat(params, blocks):
+    """``wishart._disjoint_stat``'s pair, the statistic from T and one slogdet per block."""
     method = "bartlett" if params.nonsingular else "gaussian-sum"
     draw = reference_factor(params, method)
-    prefix = query.partition.prefix
 
     def stat(rng, m):
         t = draw(rng, m)
         s = np.zeros(m)
-        for a, b, nu_k in zip(prefix, prefix[1:], query.nu):
-            if nu_k != 0.0:
-                rows = t[:, a:b]
-                s += nu_k * np.linalg.slogdet(rows @ rows.transpose(0, 2, 1))[1]
+        for a, b, nu_k in blocks:
+            rows = t[:, a:b]
+            s += nu_k * np.linalg.slogdet(rows @ rows.transpose(0, 2, 1))[1]
         return s
 
-    return stat
+    return _factor_rows(params, method)[0], stat
 
 
 class TestUnitBlockBatching:
@@ -557,10 +562,7 @@ class TestUnitBlockBatching:
                     gpi.ratio_log, gpi.ratio_stderr, gpi.violation_z)
 
         got = run()
-        monkeypatch.setattr(
-            wishminors.montecarlo, "_disjoint_stat",
-            lambda query, _: per_block_disjoint_stat(instance.params, query),
-        )
+        monkeypatch.setattr(wishminors.montecarlo, "_disjoint_stat", per_block_disjoint_stat)
         assert got == pytest.approx(run(), rel=1e-12)
 
 
@@ -591,9 +593,11 @@ class TestOneFactor:
         # chunk holds one draw.  A 1x1 scale is never singular, so there the
         # statistic is pointed at the Gaussian-sum T.  A block with a zero
         # exponent gets no Gram, yet its rows are built with the rest, so the
-        # weighted block after it must still read its own rows of T.
+        # weighted block after it must still read its own rows of T.  The
+        # sampler reads its draws off _gram too, so it runs before the patch.
         params = params_of(alpha, random_spd(rng, sum(sizes), cond=20.0))
         query = MomentQuery(partition=BlockPartition(sizes), nu=nu)
+        draws = sampler(params, n, 29).draws
         grams = []
 
         def recording_gram(rows):
@@ -601,16 +605,14 @@ class TestOneFactor:
             grams.append([[v.copy() for v in g_r] for g_r in g])  # the elimination overwrites g
             return g
 
-        monkeypatch.setattr(wishminors.montecarlo, "_gram", recording_gram)
+        monkeypatch.setattr(wishminors.wishart, "_gram", recording_gram)
         if sizes == (1,):
             monkeypatch.setattr(
-                wishminors.montecarlo, "_factor_rows",
+                wishminors.wishart, "_factor_rows",
                 lambda one_by_one, _: _factor_rows(one_by_one, "gaussian-sum"),
             )
         estimate_disjoint(params, query, n, 29)
-        draws = sampler(params, n, 29).draws
-        prefix = query.partition.prefix
-        weighted = [(a, b) for a, b, nu_k in zip(prefix, prefix[1:], nu) if nu_k != 0.0]
+        weighted = [(a, b) for a, b, _ in weighted_blocks(query)]
         assert len(grams) == len(weighted) * min(n, 64)
         for k, (a, b) in enumerate(weighted):
             chunks = grams[k :: len(weighted)]  # chunks run in order
@@ -655,6 +657,17 @@ class TestCompare:
         est = McEstimate(n=100, mean_log=0.0, stderr_log=stderr_log, max_log=0.5)
         with pytest.raises(DegenerateEstimate, match="log gap 710"):
             compare(-710.0, est)
+
+    @pytest.mark.parametrize(
+        "stderr_log, exact_log",
+        [(-800.0, 0.0), (720.0, 0.0), (-710.0, -1.0)],
+        ids=["rel-stderr-underflows", "rel-stderr-overflows", "z-overflows"],
+    )
+    def test_rel_stderr_past_double_range_degenerate(self, stderr_log, exact_log):
+        # exp(stderr_log - mean_log) is 0, inf, or so small that z is inf.
+        est = McEstimate(n=100, mean_log=0.0, stderr_log=stderr_log, max_log=0.5)
+        with pytest.raises(DegenerateEstimate, match=f"log relative standard error {stderr_log:g}"):
+            compare(exact_log, est)
 
     def test_needs_two_samples(self):
         with pytest.raises(DomainError):
